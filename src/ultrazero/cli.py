@@ -11,6 +11,7 @@ rendering; JSON is the stable interface.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -322,6 +323,7 @@ def cmd_ball_audit(args) -> tuple[int, dict, list[str]]:
     return (0 if report.passed else 1), doc, lines
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultrazero",
@@ -425,16 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, doc: dict, human: list[str]) -> None:
+def _render(args, doc: dict, human: list[str]) -> str:
     if args.format == "json":
-        text = jsonio.dump_text(doc)
-    else:
-        text = "\n".join(human) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return jsonio.dump_text(doc)
+    return "\n".join(human) + "\n"
 
 
 def run(argv=None) -> int:
@@ -447,11 +443,19 @@ def run(argv=None) -> int:
     try:
         code, doc, human = args.handler(args)
     except UltrazeroError as exc:
-        doc = jsonio.error_to_json(exc)
-        _write(args, doc, _error_lines(exc))
-        allowed = _PROPERTY_CODES_BY_COMMAND.get(args.command, set())
-        return 1 if exc.code in allowed else 2
-    _write(args, doc, human)
+        doc, human = jsonio.error_to_json(exc), _error_lines(exc)
+        code = 1 if exc.code in _PROPERTY_CODES_BY_COMMAND.get(args.command, ()) else 2
+    text = _render(args, doc, human)
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        err = fail("BadParameters", f"cannot write {args.output}: {exc.strerror or exc}")
+        sys.stderr.write(_render(args, jsonio.error_to_json(err), _error_lines(err)))
+        return 2
     return code
 
 

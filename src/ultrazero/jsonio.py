@@ -54,7 +54,8 @@ def _need(doc: Any, key: str, kind: type, where: str) -> Any:
     if key not in doc:
         raise fail("MalformedInput", f"{where}: missing key {key!r}")
     value = doc[key]
-    if kind is not object and not isinstance(value, kind):
+    # bool passes isinstance(int) but is no count, and no caller wants one
+    if kind is not object and (not isinstance(value, kind) or isinstance(value, bool)):
         raise fail("MalformedInput", f"{where}: key {key!r} has the wrong type")
     return value
 

@@ -12,8 +12,11 @@ triples. All checks here are exact, no floats anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import _linkage
@@ -98,6 +101,56 @@ class UltraWitness:
         return self.verdict
 
 
+# ------------------------------------------------------- integer kernel
+#
+# Triangle scans run on a transient integer copy of the matrix: every
+# entry times the LCM of the denominators, which preserves all sums and
+# comparisons exactly. Pairs (i, j) are visited in lexicographic order and
+# each is checked against every k > j with C-level passes over two row
+# tails; only the first failing pair is walked in Python to find its k.
+# So the reported triple is the lexicographically first failing (i, j, k).
+
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _metric_pair_ok(dij: int, xs: list[int], ys: list[int]) -> bool:
+    """Triangle inequality on every (dij, xs[t], ys[t])."""
+    return min(map(add, xs, ys)) >= dij and max(map(abs, map(sub, xs, ys))) <= dij
+
+
+def _ultra_pair_ok(dij: int, xs: list[int], ys: list[int]) -> bool:
+    """The largest side of every (dij, x, y) occurs twice: max(x, y) >= dij,
+    and max(x, y) <= dij (so it equals dij) wherever x != y."""
+    tops = list(map(max, xs, ys))
+    return min(tops) >= dij and max(compress(tops, map(ne, xs, ys)), default=dij) <= dij
+
+
+def _first_bad_triple(d: list[list[int]], pair_ok) -> tuple[int, int, int] | None:
+    """Lexicographically first i < j < k whose triangle fails pair_ok."""
+    n = len(d)
+    for i in range(n - 2):
+        di = d[i]
+        for j in range(i + 1, n - 1):
+            dij, xs, ys = di[j], di[j + 1:], d[j][j + 1:]
+            if not pair_ok(dij, xs, ys):
+                for t in range(len(xs)):
+                    if not pair_ok(dij, xs[t:t + 1], ys[t:t + 1]):
+                        return i, j, j + 1 + t
+    return None
+
+
+def _require_triangles(labs, rows, code: str, what: str, tail: str = "") -> None:
+    """Raise code with the first triple that breaks the triangle inequality."""
+    bad = _first_bad_triple(_int_rows(rows), _metric_pair_ok)
+    if bad is not None:
+        i, j, k = bad
+        sides = ", ".join(rational_str(v) for v in (rows[i][j], rows[i][k], rows[j][k]))
+        raise fail(code, f"{what} {sides} on ({labs[i]},{labs[j]},{labs[k]}){tail}", i, j, k)
+
+
 def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> FiniteMetricSpace:
     """Check all finite metric axioms and freeze the space.
 
@@ -122,6 +175,8 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
         raise fail("MalformedInput", f"need {n} rows, got {len(matrix)}")
     rows: list[tuple[Fraction, ...]] = []
     for i, raw in enumerate(matrix):
+        if not isinstance(raw, (list, tuple)):
+            raise fail("MalformedInput", f"row {i} is not a list: {raw!r}")
         if len(raw) != n:
             raise fail("MalformedInput", f"row {i} has {len(raw)} entries, need {n}")
         rows.append(tuple(as_fraction(v) for v in raw))
@@ -142,32 +197,18 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
                     f"d({labs[i]},{labs[j]}) = {rows[i][j]}",
                     i, j,
                 )
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = rows[i][j]
-            for k in range(j + 1, n):
-                dik, djk = rows[i][k], rows[j][k]
-                if dik > dij + djk or dij > dik + djk or djk > dij + dik:
-                    raise fail(
-                        "TriangleViolation",
-                        f"sides {rational_str(dij)}, {rational_str(dik)}, "
-                        f"{rational_str(djk)} on ({labs[i]},{labs[j]},{labs[k]})",
-                        i, j, k,
-                    )
+    _require_triangles(labs, rows, "TriangleViolation", "sides")
     return FiniteMetricSpace(labs, tuple(rows))
 
 
 def _witness_by_scan(space: FiniteMetricSpace) -> UltraWitness:
     dist = space.dist
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = dist[i][j]
-            for k in range(j + 1, n):
-                a, b, c = sorted((dij, dist[i][k], dist[j][k]))
-                if b != c:
-                    return UltraWitness(False, (i, j, k), (a, b, c))
-    return UltraWitness(True)
+    bad = _first_bad_triple(_int_rows(dist), _ultra_pair_ok)
+    if bad is None:
+        return UltraWitness(True)
+    i, j, k = bad
+    a, b, c = sorted((dist[i][j], dist[i][k], dist[j][k]))
+    return UltraWitness(False, bad, (a, b, c))
 
 
 def _witness_by_linkage(space: FiniteMetricSpace) -> UltraWitness:
@@ -314,19 +355,8 @@ def apply_gauge(space: FiniteMetricSpace, gauge: Gauge) -> FiniteMetricSpace:
                     i, j,
                 )
             rows[i][j] = rows[j][i] = v
-    for i in range(n):
-        for j in range(i + 1, n):
-            gij = rows[i][j]
-            for k in range(j + 1, n):
-                gik, gjk = rows[i][k], rows[j][k]
-                if gik > gij + gjk or gij > gik + gjk or gjk > gij + gik:
-                    raise fail(
-                        "ResultNotMetric",
-                        f"gauged sides {rational_str(gij)}, {rational_str(gik)}, "
-                        f"{rational_str(gjk)} on ({labs[i]},{labs[j]},{labs[k]}) "
-                        "break the triangle inequality",
-                        i, j, k,
-                    )
+    _require_triangles(labs, rows, "ResultNotMetric", "gauged sides",
+                       " break the triangle inequality")
     return FiniteMetricSpace(labs, tuple(tuple(r) for r in rows))
 
 
@@ -367,25 +397,19 @@ def scale_truncate(space: FiniteMetricSpace, epsilon) -> tuple[FiniteMetricSpace
     """Split a space at one scale: distances capped at epsilon, and raised to it.
 
     Returns (small, large) where small has d' = min(d, epsilon) and large
-    has d' = max(d, epsilon) off the diagonal. Both are revalidated; both
-    stay ultrametric when the input is.
+    has d' = max(d, epsilon) off the diagonal. Both are metrics with no
+    recheck, for a <= b + c gives min(a, e) <= min(b, e) + min(c, e) (the
+    right side is >= e if b or c is, else it is b + c) and
+    max(a, e) <= max(b, e) + max(c, e) (the right side is >= b + c and
+    >= 2e). Both stay ultrametric when the input is.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise fail("BadParameters", f"epsilon must be positive, got {eps}")
-    n = space.n
-    small = [[Fraction(0)] * n for _ in range(n)]
-    large = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                t = space.dist[i][j]
-                small[i][j] = min(t, eps)
-                large[i][j] = max(t, eps)
-    return (
-        validate_metric(space.labels, small),
-        validate_metric(space.labels, large),
-    )
+    # the diagonal is the only zero: min keeps it, and large skips it
+    small = tuple(tuple(min(t, eps) for t in row) for row in space.dist)
+    large = tuple(tuple(max(t, eps) if t else t for t in row) for row in space.dist)
+    return FiniteMetricSpace(space.labels, small), FiniteMetricSpace(space.labels, large)
 
 
 def _fresh_label(candidate: str, taken: set[str], part: int) -> str:

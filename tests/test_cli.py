@@ -81,6 +81,13 @@ class TestValidate:
         code, _ = run_human(capsys, ["validate", str(tmp_path / "nope.json")])
         assert code == 2
 
+    def test_rows_that_are_not_lists_exit_2(self, doc, capsys):
+        payload = {"labels": ["a", "b"], "dist": [5, 6]}
+        code, report = run_json(capsys, ["validate", doc(payload)])
+        assert code == 2
+        assert report["error"] == "MalformedInput"
+        assert report["message"] == "MalformedInput: row 0 is not a list: 5"
+
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text("{", encoding="utf-8")
@@ -429,6 +436,15 @@ class TestArchipelagoCommands:
             "pass",
         ]
 
+    def test_ball_audit_rejects_boolean_island_size(self, doc, capsys):
+        arch = {"labels": ["o", "x1.1"], "dist": [[0, 2], [2, 0]], "base": "o",
+                "islands": [{"size": True, "diameter": 1, "separation": 2,
+                             "points": ["x1.1"]}]}
+        code, report = run_json(capsys, ["ball-audit", doc(arch), "--sample", "o:2"])
+        assert code == 2
+        assert report["error"] == "MalformedInput"
+        assert "'size'" in report["message"]
+
     def test_ball_audit_bad_sample_exits_2(self, doc, capsys, tmp_path):
         built = tmp_path / "arch.json"
         assert run(["archipelago-build", doc(PLAN2), "--format", "json",
@@ -454,3 +470,14 @@ class TestOutputFile:
             "valid": True,
             "points": 3,
         }
+
+    def test_unwritable_output_exits_2_with_error_on_stderr(self, doc, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code = run(["validate", doc(ULTRA3), "--format", "json", "--output", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"] == "BadParameters"
+        assert report["message"].startswith(f"BadParameters: cannot write {target}: ")
+        assert "Traceback" not in captured.err

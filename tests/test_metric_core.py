@@ -295,6 +295,15 @@ class TestScaleTruncate:
         assert small.dist == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
         assert large.dist == ((0, 2, 5), (2, 0, 5), (5, 5, 0))
 
+    def test_outputs_pass_full_validation(self, make_rng):
+        # scale_truncate skips revalidation; both outputs must still be metrics
+        rng = make_rng(109)
+        for _ in range(15):
+            s = gen.random_metric(rng, rng.randint(2, 16))
+            eps = rng.choice(s.distinct_distances()) * F(rng.randint(1, 5), 3)
+            for out in scale_truncate(s, eps):
+                assert validate_metric(out.labels, out.dist) == out
+
     def test_rejects_bad_epsilon(self):
         s = space("abc", ULTRA3)
         with err("BadParameters"):
@@ -308,6 +317,8 @@ class TestScaleTruncate:
             small, large = scale_truncate(s, eps)
             assert is_ultrametric(small)
             assert is_ultrametric(large)
+            assert validate_metric(small.labels, small.dist) == small
+            assert validate_metric(large.labels, large.dist) == large
 
 
 class TestWedge:
