@@ -13,11 +13,11 @@ triples. All checks here are exact, no floats anywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add, ne, sub
-from typing import Iterable, Iterator, Sequence
 
 from . import _linkage
 from .errors import fail
@@ -109,26 +109,39 @@ class UltraWitness:
 # each is checked against every k > j with C-level passes over two row
 # tails; only the first failing pair is walked in Python to find its k.
 # So the reported triple is the lexicographically first failing (i, j, k).
+#
+# Many coprime denominators would make that LCM, and so every entry, huge
+# (twenty thousand 20-bit primes give about 400,000 bits). Past
+# _SCALE_BITS the scan runs on the Fractions themselves: the same passes
+# and the same result, slower, in the memory the input already holds.
+
+_SCALE_BITS = 1024
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    scale = math.lcm(*{v.denominator for row in rows for v in row})
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> Sequence[Sequence]:
+    """rows times the LCM of their denominators, as ints; rows itself when
+    that LCM has more than _SCALE_BITS bits."""
+    scale = 1
+    for q in {v.denominator for row in rows for v in row}:
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > _SCALE_BITS:
+            return rows
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
-def _metric_pair_ok(dij: int, xs: list[int], ys: list[int]) -> bool:
+def _metric_pair_ok(dij, xs: Sequence, ys: Sequence) -> bool:
     """Triangle inequality on every (dij, xs[t], ys[t])."""
     return min(map(add, xs, ys)) >= dij and max(map(abs, map(sub, xs, ys))) <= dij
 
 
-def _ultra_pair_ok(dij: int, xs: list[int], ys: list[int]) -> bool:
+def _ultra_pair_ok(dij, xs: Sequence, ys: Sequence) -> bool:
     """The largest side of every (dij, x, y) occurs twice: max(x, y) >= dij,
     and max(x, y) <= dij (so it equals dij) wherever x != y."""
     tops = list(map(max, xs, ys))
     return min(tops) >= dij and max(compress(tops, map(ne, xs, ys)), default=dij) <= dij
 
 
-def _first_bad_triple(d: list[list[int]], pair_ok) -> tuple[int, int, int] | None:
+def _first_bad_triple(d: Sequence[Sequence], pair_ok) -> tuple[int, int, int] | None:
     """Lexicographically first i < j < k whose triangle fails pair_ok."""
     n = len(d)
     for i in range(n - 2):
@@ -175,8 +188,8 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
         raise fail("MalformedInput", f"need {n} rows, got {len(matrix)}")
     rows: list[tuple[Fraction, ...]] = []
     for i, raw in enumerate(matrix):
-        if not isinstance(raw, (list, tuple)):
-            raise fail("MalformedInput", f"row {i} is not a list: {raw!r}")
+        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+            raise fail("MalformedInput", f"row {i} is not a sequence of numbers: {raw!r}")
         if len(raw) != n:
             raise fail("MalformedInput", f"row {i} has {len(raw)} entries, need {n}")
         rows.append(tuple(as_fraction(v) for v in raw))

@@ -52,29 +52,20 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-# log_3(2) to sixteen digits, scaled to an integer
-_LOG3_2_E16 = 6309297535714574
-
-
-def _at_most_power_of_three(q: Fraction, n: int) -> bool:
-    """q <= 3**n, in integers."""
-    if n >= 0:
-        return q.numerator <= q.denominator * 3**n
-    return q.numerator * 3**-n <= q.denominator
-
-
 def ceil_exponent_base3(q: Fraction) -> int:
     """Smallest integer n with q <= 3**n, for q > 0."""
     if q <= 0:
         raise fail("BadParameters", f"need a positive value, got {q}")
-    # 2**(b-1) < q < 2**(b+1), so b * log_3(2) is within two of n; the
-    # exact comparisons below settle it.
-    b = q.numerator.bit_length() - q.denominator.bit_length()
-    n = b * _LOG3_2_E16 // 10**16
-    while not _at_most_power_of_three(q, n):
-        n += 1
-    while _at_most_power_of_three(q, n - 1):
-        n -= 1
+    n = 0
+    power = Fraction(1)
+    if q <= 1:
+        while q <= power / 3:
+            power /= 3
+            n -= 1
+    else:
+        while q > power:
+            power *= 3
+            n += 1
     return n
 
 

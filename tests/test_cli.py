@@ -86,7 +86,7 @@ class TestValidate:
         code, report = run_json(capsys, ["validate", doc(payload)])
         assert code == 2
         assert report["error"] == "MalformedInput"
-        assert report["message"] == "MalformedInput: row 0 is not a list: 5"
+        assert report["message"] == "MalformedInput: row 0 is not a sequence of numbers: 5"
 
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"

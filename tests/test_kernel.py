@@ -24,7 +24,8 @@ from ultrazero import (
     validate_metric,
 )
 from ultrazero.errors import fail
-from ultrazero.metric_core import _SCAN_LIMIT, _int_rows, _witness_by_scan
+from ultrazero import metric_core
+from ultrazero.metric_core import _SCALE_BITS, _SCAN_LIMIT, _int_rows, _witness_by_scan
 from ultrazero.rational import rational_str
 
 F = Fraction
@@ -208,6 +209,59 @@ def as_space(rows) -> FiniteMetricSpace:
 def test_int_rows_scale_over_the_lcm():
     assert _int_rows([[F(0), F(1, 2)], [F(1, 3), F(0)]]) == [[0, 3], [2, 0]]
     assert _int_rows([[F(0), F(5)], [F(5), F(0)]]) == [[0, 5], [5, 0]]
+
+
+def test_int_rows_keep_fractions_past_the_scale_bound():
+    at = F(1, 2 ** (_SCALE_BITS - 1))  # LCM of _SCALE_BITS bits
+    assert _int_rows([[F(0), at], [at, F(0)]]) == [[0, 1], [1, 0]]
+    past = [[F(0), at / 2], [at / 2, F(0)]]
+    assert _int_rows(past) is past
+
+
+def primes(count, start):
+    found, q = [], start
+    while len(found) < count:
+        if all(q % f for f in range(2, int(q**0.5) + 1)):
+            found.append(q)
+        q += 1
+    return found
+
+
+def coprime_band(n, p=None):
+    """Distances 1 + 1/q over n(n-1)/2 distinct primes q > 1000, so their
+    LCM has thousands of bits; with p, d(p, p+2) = 3 breaks triangles."""
+    qs = iter(primes(n * (n - 1) // 2, 1000))
+    rows = symmetric(n, lambda i, j: 1 + F(1, next(qs)))
+    if p is not None:
+        rows[p][p + 2] = rows[p + 2][p] = F(3)
+    return rows
+
+
+@pytest.mark.parametrize("p", [None, 0, 18])
+def test_many_coprime_denominators(p):
+    rows = coprime_band(_SCAN_LIMIT, p)
+    assert _int_rows(rows) is rows
+    labs = labels(len(rows))
+    got = outcome(validate_metric, labs, rows)
+    assert got == outcome(oracle_validate, labs, rows)
+    assert isinstance(got, FiniteMetricSpace) == (p is None)
+    space = as_space(rows)
+    assert _witness_by_scan(space) == oracle_scan(space)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fraction_scan_matches_oracles(data):
+    rows = data.draw(matrices())
+    labs, space = labels(len(rows)), as_space(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "_SCALE_BITS", 0)  # every matrix stays in Fractions
+        got = outcome(validate_metric, labs, rows)
+        assert got == outcome(oracle_validate, labs, rows)
+        assert _witness_by_scan(space) == oracle_scan(space)
+        if isinstance(got, FiniteMetricSpace):
+            gauge = data.draw(gauges(got))
+            assert outcome(apply_gauge, got, gauge) == outcome(oracle_gauge, got, gauge)
 
 
 @settings(max_examples=60, deadline=None)

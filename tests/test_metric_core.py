@@ -56,6 +56,13 @@ class TestValidateMetric:
         with err("MalformedInput"):
             validate_metric([], [])
 
+    def test_rows_may_be_any_sequence_of_numbers(self):
+        s = validate_metric("ab", (range(0, 2), range(1, -1, -1)))
+        assert s == validate_metric("ab", [[0, 1], [1, 0]])
+        for row in (5, "01", b"\x00\x01", {0: 0, 1: 1}):
+            with err("MalformedInput"):
+                validate_metric("ab", [row, [1, 0]])
+
     def test_rejects_duplicate_labels(self):
         with err("DuplicateLabel"):
             validate_metric(["a", "a"], [[0, 1], [1, 0]])
