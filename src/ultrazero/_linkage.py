@@ -1,4 +1,4 @@
-"""Union-find and minimum-spanning-tree machinery.
+"""Union-find, minimum-spanning-tree machinery and the integer lattice.
 
 Shared by the ultrametric certifier, the chain-infimum metric, and the
 scale decomposition. Prim runs in O(n^2), which beats sorting all n^2/2
@@ -7,7 +7,38 @@ edges once spaces get into the hundreds of points.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
+
+# ------------------------------------------------------- integer lattice
+#
+# Exact comparisons run on integers: every value times the LCM of the
+# denominators in play, which preserves all sums and comparisons exactly.
+# Many coprime denominators would make that LCM, and so every entry, huge
+# (twenty thousand 20-bit primes give about 400,000 bits). Past
+# _SCALE_BITS the callers compare the Fractions themselves: the same
+# result, slower, in the memory the input already holds.
+
+_SCALE_BITS = 1024
+
+
+def lattice_scale(values: Iterable[Fraction]) -> int | None:
+    """LCM of the values' denominators; None past _SCALE_BITS bits."""
+    scale = 1
+    for q in {v.denominator for v in values}:
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > _SCALE_BITS:
+            return None
+    return scale
+
+
+def lattice(values: Iterable[Fraction], scale: int | None) -> list:
+    """The values times scale, as ints; the values themselves when scale is None."""
+    if scale is None:
+        return list(values)
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 class DisjointSet:
@@ -38,28 +69,29 @@ def prim_mst(dist) -> list[tuple[Fraction, int, int]]:
     """Minimum spanning tree edges of a complete graph given as a matrix.
 
     Deterministic: ties go to the smallest candidate index. Returns
-    (weight, i, j) with i the tree endpoint discovered earlier.
+    (weight, i, j) with i the tree endpoint discovered earlier, and the
+    weight dist[i][j]. Comparisons run on the integer lattice; each row is
+    converted once, when its vertex joins the tree, and only at the
+    vertices still outside it.
     """
     n = len(dist)
     if n <= 1:
         return []
-    in_tree = [False] * n
-    best = list(dist[0])
-    best_from = [0] * n
-    in_tree[0] = True
+    scale = lattice_scale(chain.from_iterable(dist))
+    rest = list(range(1, n))  # outside the tree, in index order
+    best = lattice(dist[0][1:], scale)
+    best_from = [0] * (n - 1)
     edges: list[tuple[Fraction, int, int]] = []
-    for _ in range(n - 1):
-        v = -1
-        for u in range(n):
-            if not in_tree[u] and (v == -1 or best[u] < best[v]):
-                v = u
-        edges.append((best[v], best_from[v], v))
-        in_tree[v] = True
+    while rest:
+        k = best.index(min(best))  # first minimum: the smallest index
+        v, i = rest.pop(k), best_from.pop(k)
+        del best[k]
+        edges.append((dist[i][v], i, v))
         row = dist[v]
-        for u in range(n):
-            if not in_tree[u] and row[u] < best[u]:
-                best[u] = row[u]
-                best_from[u] = v
+        for t, w in enumerate(lattice([row[u] for u in rest], scale)):
+            if w < best[t]:
+                best[t] = w
+                best_from[t] = v
     return edges
 
 

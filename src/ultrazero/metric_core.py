@@ -12,11 +12,10 @@ triples. All checks here are exact, no floats anywhere.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import add, ne, sub
 
 from . import _linkage
@@ -103,30 +102,21 @@ class UltraWitness:
 
 # ------------------------------------------------------- integer kernel
 #
-# Triangle scans run on a transient integer copy of the matrix: every
-# entry times the LCM of the denominators, which preserves all sums and
-# comparisons exactly. Pairs (i, j) are visited in lexicographic order and
-# each is checked against every k > j with C-level passes over two row
-# tails; only the first failing pair is walked in Python to find its k.
-# So the reported triple is the lexicographically first failing (i, j, k).
-#
-# Many coprime denominators would make that LCM, and so every entry, huge
-# (twenty thousand 20-bit primes give about 400,000 bits). Past
-# _SCALE_BITS the scan runs on the Fractions themselves: the same passes
-# and the same result, slower, in the memory the input already holds.
-
-_SCALE_BITS = 1024
+# Triangle scans run on a transient integer copy of the matrix, on the
+# lattice of _linkage (every entry times the LCM of the denominators, or
+# the Fractions themselves past its bit bound). Pairs (i, j) are visited in
+# lexicographic order and each is checked against every k > j with C-level
+# passes over two row tails; only the first failing pair is walked in
+# Python to find its k. So the reported triple is the lexicographically
+# first failing (i, j, k).
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> Sequence[Sequence]:
-    """rows times the LCM of their denominators, as ints; rows itself when
-    that LCM has more than _SCALE_BITS bits."""
-    scale = 1
-    for q in {v.denominator for row in rows for v in row}:
-        scale = math.lcm(scale, q)
-        if scale.bit_length() > _SCALE_BITS:
-            return rows
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    """rows on the integer lattice; rows itself past its bit bound."""
+    scale = _linkage.lattice_scale(chain.from_iterable(rows))
+    if scale is None:
+        return rows
+    return [_linkage.lattice(row, scale) for row in rows]
 
 
 def _metric_pair_ok(dij, xs: Sequence, ys: Sequence) -> bool:
@@ -378,7 +368,9 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
 
     Input must be ultrametric. Each d lands on the unique 3^n with
     3^(n-1) < d <= 3^n, so the output is a power-of-three-valued
-    ultrametric with d <= out < 3d pairwise.
+    ultrametric with d <= out < 3d pairwise. It needs no recheck: the
+    rounding t -> 3^ceil(log_3 t) is nondecreasing, so it carries
+    d(x,z) <= max(d(x,y), d(y,z)) over to the rounded values.
     """
     w = is_ultrametric(space)
     if not w.verdict:
@@ -402,7 +394,6 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     out = FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rows))
     for i, j in out.pairs():  # postcondition, cheap and exact
         assert space.dist[i][j] <= out.dist[i][j] < 3 * space.dist[i][j]
-    assert is_ultrametric(out).verdict
     return out
 
 

@@ -232,25 +232,49 @@ def verify_scale_bounds(
     Checks, for every pair with distance d and chain-infimum value r:
     d/(2m) <= r <= d, and Sinv/2 <= r where Sinv is the smallest tabulated
     scale whose component diameter reaches d. Inputs must have been
-    computed from the given space (labels and scale table are checked).
+    computed from the given space: labels and scales are checked, m must be
+    positive and every scale must have a Sinv, as in every certificate.
+
+    Runs in O(n^2): Sinv is looked up once per tabulated scale, and the
+    bounds are compared on the integer lattice of d and r as r <= d,
+    d * den(2m) <= r * num(2m) and Sinv <= 2r.
     """
     if sub.rho.labels != space.labels:
         raise fail("InputMismatch", "chain-infimum result belongs to a different space")
-    if tuple(s for s, _ in cert.table) != space.distinct_distances():
+    dist, rho = space.dist, sub.rho.dist
+    # the table's scales and diameters may come from elsewhere: lattice them too
+    scale = _linkage.lattice_scale(itertools.chain(*dist, *rho, *cert.table))
+    tails = [_linkage.lattice(row[i + 1:], scale) for i, row in enumerate(dist)]
+    scales = _linkage.lattice((s for s, _ in cert.table), scale)
+    if scales != sorted(set(itertools.chain(*tails))):
         raise fail("InputMismatch", "certificate table does not match the space's scales")
+    if cert.m <= 0:
+        raise fail("InputMismatch", f"certificate constant m = {cert.m} is not positive")
+    # Sinv per tabulated scale: control_inverse's bisect, on the lattice;
+    # kept as its lattice value and as the Fraction a violation reports
+    diameters = _linkage.lattice((dm for _, dm in cert.table), scale)
+    sinv_at = {}
+    for s, (t, _) in zip(scales, cert.table):
+        pos = bisect_left(diameters, s)
+        if pos == len(scales):  # t is realized, so D(t) >= t in a true table
+            raise fail("InputMismatch", f"no tabulated diameter reaches the scale {t}")
+        sinv_at[s] = (scales[pos], cert.table[pos][0])
     two_m = 2 * cert.m
+    num, den = two_m.numerator, two_m.denominator
     violations: list[BoundViolation] = []
-    for i, j in space.pairs():
-        d = space.dist[i][j]
-        r = sub.rho.dist[i][j]
-        pair = (space.labels[i], space.labels[j])
-        lower_nagata = d / two_m
-        if not lower_nagata <= r <= d:
-            violations.append(BoundViolation(pair, lower_nagata, r, d))
-        sinv = cert.control_inverse(d)
-        # d is realized, so some tabulated diameter reaches it
-        assert sinv is not None
-        lower_uniform = sinv / 2
-        if not lower_uniform <= r <= d:
-            violations.append(BoundViolation(pair, lower_uniform, r, d))
+    for i, ds in enumerate(tails):
+        rs = _linkage.lattice(rho[i][i + 1:], scale)
+        for j, d, r in zip(itertools.count(i + 1), ds, rs):
+            below = r <= d
+            nagata = below and d * den <= r * num
+            uniform = below and sinv_at[d][0] <= 2 * r
+            if nagata and uniform:
+                continue
+            pair = (space.labels[i], space.labels[j])
+            sinv = sinv_at[d][1]
+            d, r = dist[i][j], rho[i][j]
+            if not nagata:
+                violations.append(BoundViolation(pair, d / two_m, r, d))
+            if not uniform:
+                violations.append(BoundViolation(pair, sinv / 2, r, d))
     return BoundsReport(not violations, tuple(violations))

@@ -133,6 +133,39 @@ def random_metric(rng: random.Random, n: int) -> FiniteMetricSpace:
     return _space(labels, mat)
 
 
+def all_distinct_metric(rng: random.Random, n: int) -> FiniteMetricSpace:
+    """Metric in [2, 3) whose n(n-1)/2 distances all differ; every triangle
+    holds since any two sides add up to at least 4."""
+    m = n * (n - 1) // 2
+    ranks = iter(rng.sample(range(m), m))
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = 2 + Fraction(next(ranks), m)
+    return _space(_labels(n), mat)
+
+
+def primes(count: int, start: int) -> list[int]:
+    found, q = [], start
+    while len(found) < count:
+        if all(q % f for f in range(2, int(q**0.5) + 1)):
+            found.append(q)
+        q += 1
+    return found
+
+
+def coprime_metric(n: int, start: int = 1000) -> FiniteMetricSpace:
+    """Distances 1 + 1/q over n(n-1)/2 distinct primes q >= start, in
+    (1, 2] so every triangle holds; their common denominator has about
+    n(n-1)/2 * log2(start) bits."""
+    qs = iter(primes(n * (n - 1) // 2, start))
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = 1 + Fraction(1, next(qs))
+    return _space(_labels(n), mat)
+
+
 def alphabet_metrics(n: int, alphabet: tuple[int, ...] = (1, 2, 3)):
     """Every metric on n labelled points whose distances lie in `alphabet`.
 

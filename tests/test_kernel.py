@@ -24,8 +24,9 @@ from ultrazero import (
     validate_metric,
 )
 from ultrazero.errors import fail
-from ultrazero import metric_core
-from ultrazero.metric_core import _SCALE_BITS, _SCAN_LIMIT, _int_rows, _witness_by_scan
+from ultrazero import _linkage
+from ultrazero._linkage import _SCALE_BITS
+from ultrazero.metric_core import _SCAN_LIMIT, _int_rows, _witness_by_scan
 from ultrazero.rational import rational_str
 
 F = Fraction
@@ -218,20 +219,10 @@ def test_int_rows_keep_fractions_past_the_scale_bound():
     assert _int_rows(past) is past
 
 
-def primes(count, start):
-    found, q = [], start
-    while len(found) < count:
-        if all(q % f for f in range(2, int(q**0.5) + 1)):
-            found.append(q)
-        q += 1
-    return found
-
-
 def coprime_band(n, p=None):
-    """Distances 1 + 1/q over n(n-1)/2 distinct primes q > 1000, so their
-    LCM has thousands of bits; with p, d(p, p+2) = 3 breaks triangles."""
-    qs = iter(primes(n * (n - 1) // 2, 1000))
-    rows = symmetric(n, lambda i, j: 1 + F(1, next(qs)))
+    """gen.coprime_metric's rows, whose LCM has thousands of bits; with p,
+    d(p, p+2) = 3 breaks triangles."""
+    rows = [list(r) for r in gen.coprime_metric(n).dist]
     if p is not None:
         rows[p][p + 2] = rows[p + 2][p] = F(3)
     return rows
@@ -255,7 +246,7 @@ def test_fraction_scan_matches_oracles(data):
     rows = data.draw(matrices())
     labs, space = labels(len(rows)), as_space(rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metric_core, "_SCALE_BITS", 0)  # every matrix stays in Fractions
+        mp.setattr(_linkage, "_SCALE_BITS", 0)  # every matrix stays in Fractions
         got = outcome(validate_metric, labs, rows)
         assert got == outcome(oracle_validate, labs, rows)
         assert _witness_by_scan(space) == oracle_scan(space)

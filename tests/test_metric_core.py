@@ -263,9 +263,10 @@ class TestQuantize:
             quantize_3adic(space("abc", LINE3))
 
     def test_window_on_random_inputs(self, make_rng):
+        # past _SCAN_LIMIT the linkage path certifies the output
         rng = make_rng(106)
-        for _ in range(20):
-            s = gen.random_ultrametric(rng, rng.randint(2, 20))
+        for n in [rng.randint(2, 60) for _ in range(20)] + [_SCAN_LIMIT + 1, 60]:
+            s = gen.random_ultrametric(rng, n)
             q = quantize_3adic(s)
             assert is_ultrametric(q)
             for i, j in s.pairs():

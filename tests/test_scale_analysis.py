@@ -1,5 +1,6 @@
 """Scale components, the chain-infimum ultrametric and its certificates."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,17 @@ class TestVerifyBounds:
                 s, subdominant_ultrametric(s), dim0_certificate(s)
             )
             assert report.passed
+
+    def test_all_distinct_audit_within_budget(self, make_rng):
+        # 19,900 distinct scales: a Sinv lookup that costs O(#scales) per
+        # pair makes the audit O(n^4) here
+        s = gen.all_distinct_metric(make_rng(214), 200)
+        sub, cert = subdominant_ultrametric(s), dim0_certificate(s)
+        t0 = time.monotonic()
+        report = verify_scale_bounds(s, sub, cert)
+        elapsed = time.monotonic() - t0
+        assert report.passed
+        assert elapsed < 5.0, f"audit took {elapsed:.2f} s, budget 5 s"
 
     def test_rejects_foreign_subdominant(self):
         other = validate_metric("xyz", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
