@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 from .errors import fail
@@ -163,27 +164,46 @@ def ball_elements(spec: CyclicSumSpec, radius: int) -> list[GroupElement]:
     return out
 
 
-def group_ball(spec: CyclicSumSpec, radius: int) -> FiniteMetricSpace:
-    """The filtration ball of the given radius as a finite metric space."""
+def _ball(spec: CyclicSumSpec, radius: int) -> tuple[list[GroupElement], FiniteMetricSpace]:
+    """The radius-th filtration ball and its elements, in counter order.
+
+    With W_k = order_1 * ... * order_k, the element with digits d_1 d_2 ...
+    has code sum d_i * W_(i-1). Two codes agree on every digit past position
+    k exactly when they lie in one block of W_k consecutive codes. The
+    filtration distance is the most significant position where the digits
+    differ: d_filtration takes the larger length when the lengths differ,
+    and the shorter element has digit 0 there, or else the largest
+    disagreeing position. So it is the first stage k at which the two codes
+    share a block of W_k. The stage-k matrix is therefore order_k x order_k
+    blocks of width W_(k-1): the stage k-1 matrix on the diagonal and the
+    constant k off it. Each row starts as [0] and is widened one stage at a
+    time, by the digit of its code at that stage, and all the entries k of
+    a stage share one Fraction. Rows are finished one at a time rather than
+    as whole stage matrices, so no stage is held beside the next.
+    """
     if radius < 0:
         raise fail("BadParameters", f"radius must be nonnegative, got {radius}")
     elements = ball_elements(spec, radius)
-    n = len(elements)
+    stages = []  # (the entry k, order_k, W_(k-1))
+    size = 1
+    for k, order in enumerate(spec.orders(radius), 1):
+        stages.append(((Fraction(k),), order, size))
+        size *= order
+    zero = (Fraction(0),)
+    rows = []
+    for code in range(size):
+        row, rest = zero, code
+        for fill, order, block in stages:
+            rest, pos = divmod(rest, order)
+            row = fill * (pos * block) + row + fill * ((order - 1 - pos) * block)
+        rows.append(row)
     labels = tuple(element_label(g) for g in elements)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        p = elements[i]
-        for j in range(i + 1, n):
-            q = elements[j]
-            if p.length != q.length:
-                w = max(p.length, q.length)
-            else:
-                w = 0
-                for k in range(p.length):
-                    if p.digits[k] != q.digits[k]:
-                        w = k + 1
-            rows[i][j] = rows[j][i] = Fraction(w)
-    return FiniteMetricSpace(labels, tuple(tuple(r) for r in rows))
+    return elements, FiniteMetricSpace(labels, tuple(rows))
+
+
+def group_ball(spec: CyclicSumSpec, radius: int) -> FiniteMetricSpace:
+    """The filtration ball of the given radius as a finite metric space."""
+    return _ball(spec, radius)[1]
 
 
 @dataclass(frozen=True)
@@ -217,9 +237,8 @@ def group_isometric_embedding(
                 f"stage {i + 1}: source order {a[i]} exceeds target order {b[i]}",
                 i + 1, a[i], b[i],
             )
-    source = group_ball(g, depth)
+    src_elements, source = _ball(g, depth)
     target = group_ball(h, depth)
-    src_elements = ball_elements(g, depth)
     # recompose each digit string in the target's mixed radix
     weights = []
     w = 1
@@ -233,12 +252,11 @@ def group_isometric_embedding(
             code += d * weights[pos]
         assignment.append(code)
     checked = 0
-    for i in range(source.n):
-        for j in range(i + 1, source.n):
-            assert source.dist[i][j] == target.dist[assignment[i]][assignment[j]], (
-                "digitwise map failed the isometry audit"
-            )
-            checked += 1
+    for i, image in enumerate(assignment):
+        row = target.dist[image]
+        if tuple(map(row.__getitem__, assignment[i + 1:])) != source.dist[i][i + 1:]:
+            raise AssertionError("digitwise map failed the isometry audit")
+        checked += source.n - 1 - i
     bijective = source.n == target.n
     return GroupEmbedding(source, target, depth, tuple(assignment), bijective, checked)
 
@@ -377,60 +395,69 @@ class M0Report:
     window_witness: tuple[tuple[int, ...], tuple[int, ...], int, int] | None
 
 
+def _binary_element(code: int) -> GroupElement:
+    """The element whose digits are the binary digits of code, lowest first."""
+    return GroupElement.of([(code >> k) & 1 for k in range(code.bit_length())])
+
+
 def m0_distortion_check(max_len: int) -> M0Report:
-    """Audit the doubling map over all binary strings up to max_len digits."""
+    """Audit the doubling map over all binary strings up to max_len digits.
+
+    Element i is the string of binary digits of i, lowest first, so the
+    elements are the identity and then each length in counter order, and
+    index i *is* the code of its digits. Two codes i < j first share a block
+    of 2**n codes at n = (i ^ j).bit_length(), the position of their most
+    significant differing digit, which is d_filtration (see _ball). For a
+    fixed i, the j > i at distance n are the upper half of the block of 2**n
+    around i when digit n of i is 0, and there are none otherwise; these
+    slices run through j in increasing order as n grows. Each slice is
+    checked with C-level passes, and walked only on its first failure, so
+    the witnesses are the first failing pairs in combinations order. The
+    ratio |difference| / 3**n is smallest and largest at the extreme
+    differences of some stage, so only those become Fractions.
+    """
     if not isinstance(max_len, int) or isinstance(max_len, bool) or max_len < 1:
         raise fail("BadParameters", f"max_len must be a positive integer, got {max_len!r}")
     if max_len > 20:
         raise fail("BadParameters", f"max_len {max_len} is past the exhaustive range (20)")
     spec = CyclicSumSpec.of([(2, None)])
-    elements: list[GroupElement] = [GroupElement.of(())]
-    for ln in range(1, max_len + 1):
-        for code in range(2 ** (ln - 1)):
-            digits = [(code >> k) & 1 for k in range(ln - 1)] + [1]
-            elements.append(GroupElement.of(digits))
+    elements = [_binary_element(code) for code in range(2**max_len)]
     values = [m0_encode(spec, g) for g in elements]
     powers = [3**k for k in range(max_len + 2)]
+    stages = range(1, max_len + 1)
+    smalls: list[list[int]] = [[] for _ in range(max_len + 1)]
+    bigs: list[list[int]] = [[] for _ in range(max_len + 1)]
     pair_count = 0
-    sharp = True
     sharp_witness = None
-    window = True
     window_witness = None
-    min_ratio: Fraction | None = None
-    max_ratio: Fraction | None = None
-    for i, j in combinations(range(len(elements)), 2):
-        p, q = elements[i], elements[j]
-        if p.length != q.length:
-            n = max(p.length, q.length)
-        else:
-            n = 0
-            for k in range(p.length):
-                if p.digits[k] != q.digits[k]:
-                    n = k + 1
-        delta = abs(values[i] - values[j])
-        pair_count += 1
-        if not powers[n - 1] < delta < powers[n]:
-            sharp = False
-            if sharp_witness is None:
-                sharp_witness = (p.digits, q.digits, n, delta)
-        ratio = Fraction(delta, powers[n])
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if max_ratio is None or ratio > max_ratio:
-            max_ratio = ratio
-        if not powers[n] <= delta <= powers[n + 1]:
-            window = False
-            if window_witness is None:
-                window_witness = (p.digits, q.digits, n, delta)
-    assert min_ratio is not None and max_ratio is not None
+
+    def witness(i, start, deltas, n, lo, hi):
+        t = next(t for t, delta in enumerate(deltas) if not lo <= delta <= hi)
+        return elements[i].digits, elements[start + t].digits, n, deltas[t]
+
+    for i, vi in enumerate(values):
+        for n in stages:
+            half = 1 << (n - 1)
+            if i & half:
+                continue
+            start = (i >> n << n) | half
+            deltas = list(map(abs, map(sub, values[start:start + half], repeat(vi))))
+            pair_count += half
+            small, big = min(deltas), max(deltas)
+            smalls[n].append(small)
+            bigs[n].append(big)
+            if sharp_witness is None and not powers[n - 1] < small <= big < powers[n]:
+                sharp_witness = witness(i, start, deltas, n, powers[n - 1] + 1, powers[n] - 1)
+            if window_witness is None and not powers[n] <= small <= big <= powers[n + 1]:
+                window_witness = witness(i, start, deltas, n, powers[n], powers[n + 1])
     return M0Report(
         max_len,
         len(elements),
         pair_count,
-        sharp,
+        sharp_witness is None,
         sharp_witness,
-        min_ratio,
-        max_ratio,
-        window,
+        min(Fraction(min(smalls[n]), powers[n]) for n in stages),
+        max(Fraction(max(bigs[n]), powers[n]) for n in stages),
+        window_witness is None,
         window_witness,
     )

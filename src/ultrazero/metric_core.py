@@ -145,13 +145,31 @@ def _first_bad_triple(d: Sequence[Sequence], pair_ok) -> tuple[int, int, int] | 
     return None
 
 
-def _require_triangles(labs, rows, code: str, what: str, tail: str = "") -> None:
-    """Raise code with the first triple that breaks the triangle inequality."""
-    bad = _first_bad_triple(_int_rows(rows), _metric_pair_ok)
+def _require_triangles(labs, rows, ints, code: str, what: str, tail: str = "") -> None:
+    """Raise code with the first triple of ints, the lattice of rows, that
+    breaks the triangle inequality."""
+    bad = _first_bad_triple(ints, _metric_pair_ok)
     if bad is not None:
         i, j, k = bad
         sides = ", ".join(rational_str(v) for v in (rows[i][j], rows[i][k], rows[j][k]))
         raise fail(code, f"{what} {sides} on ({labs[i]},{labs[j]},{labs[k]}){tail}", i, j, k)
+
+
+def _parse_row(raw: Sequence, parsed: dict) -> tuple[Fraction, ...]:
+    """as_fraction of every entry, through parsed, a memo keyed by (type, value).
+
+    Each distinct entry is parsed once. The type is in the key, so True and
+    1.0 never meet the entry for 1 and are rejected as as_fraction rejects
+    them. New entries are parsed in row order, so the first bad one raises.
+    """
+    keys = list(zip(map(type, raw), raw))
+    try:
+        fresh = [key for key in dict.fromkeys(keys) if key not in parsed]
+    except TypeError:  # an unhashable entry, which as_fraction rejects in turn
+        fresh = keys
+    for key in fresh:
+        parsed[key] = as_fraction(key[1])
+    return tuple(map(parsed.__getitem__, keys))
 
 
 def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> FiniteMetricSpace:
@@ -176,17 +194,26 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
             seen.add(lab)
     if len(matrix) != n:
         raise fail("MalformedInput", f"need {n} rows, got {len(matrix)}")
+    parsed: dict = {}
     rows: list[tuple[Fraction, ...]] = []
     for i, raw in enumerate(matrix):
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
             raise fail("MalformedInput", f"row {i} is not a sequence of numbers: {raw!r}")
         if len(raw) != n:
             raise fail("MalformedInput", f"row {i} has {len(raw)} entries, need {n}")
-        rows.append(tuple(as_fraction(v) for v in raw))
+        rows.append(_parse_row(raw, parsed))
     for i in range(n):
         if rows[i][i] != 0:
             raise fail("NonZeroDiagonal", f"d({labs[i]},{labs[i]}) = {rows[i][i]}", i)
+    # a row passes both checks at C level, on the lattice the triangle scan
+    # uses; only the first failing row is walked pair by pair, so the
+    # witness is still the first failing (i, j)
+    ints = _int_rows(rows)
+    cols = list(zip(*ints))
     for i in range(n):
+        tail = tuple(ints[i][i + 1:])
+        if tail == cols[i][i + 1:] and (not tail or min(tail) > 0):
+            continue
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise fail(
@@ -200,7 +227,7 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
                     f"d({labs[i]},{labs[j]}) = {rows[i][j]}",
                     i, j,
                 )
-    _require_triangles(labs, rows, "TriangleViolation", "sides")
+    _require_triangles(labs, rows, ints, "TriangleViolation", "sides")
     return FiniteMetricSpace(labs, tuple(rows))
 
 
@@ -358,7 +385,7 @@ def apply_gauge(space: FiniteMetricSpace, gauge: Gauge) -> FiniteMetricSpace:
                     i, j,
                 )
             rows[i][j] = rows[j][i] = v
-    _require_triangles(labs, rows, "ResultNotMetric", "gauged sides",
+    _require_triangles(labs, rows, _int_rows(rows), "ResultNotMetric", "gauged sides",
                        " break the triangle inequality")
     return FiniteMetricSpace(labs, tuple(tuple(r) for r in rows))
 
@@ -391,10 +418,11 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
                 v = Fraction(3) ** ceil_exponent_base3(t)
                 cache[t] = v
             rows[i][j] = rows[j][i] = v
-    out = FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rows))
-    for i, j in out.pairs():  # postcondition, cheap and exact
-        assert space.dist[i][j] <= out.dist[i][j] < 3 * space.dist[i][j]
-    return out
+    for t, v in cache.items():  # every output entry is one of these
+        if not t <= v < 3 * t:
+            raise AssertionError(f"{rational_str(t)} rounded to {rational_str(v)}, "
+                                 "outside [t, 3t)")
+    return FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rows))
 
 
 def scale_truncate(space: FiniteMetricSpace, epsilon) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
