@@ -1,11 +1,17 @@
-"""Byte-level pins of the group, m0 and validation reports.
+"""Byte-level pins of every command's report.
 
 Each case runs one command in process with ``--format json``. Its exit
 code and stdout (input paths replaced by ``<file>``) are hashed together.
-The digests were recorded from the per-pair Fraction loops that
-group_ball, m0_distortion_check, group_isometric_embedding and the
-symmetry/positivity scan of validate_metric ran before their integer
-rewrites, so any change to a report, a witness or an exit code shows here.
+The group, m0, validation and planted-fault digests were recorded from
+the per-pair Fraction loops that group_ball, m0_distortion_check,
+group_isometric_embedding and the symmetry/positivity scan of
+validate_metric ran before their integer rewrites. The digests of the
+other commands (``more_cases``) were recorded from the ``json.dumps(doc,
+indent=2)`` writer that ``dump_text`` replaced. So any change to a report,
+a witness or an exit code shows here.
+
+The inputs are built here, not by the bench or ``gen``, so that a change
+to those generators cannot move a digest.
 
 To re-record after a deliberate output change, run this file as a script
 (``PYTHONPATH=src python tests/test_golden.py``) and paste its output.
@@ -112,6 +118,215 @@ def cases(write):
     return out
 
 
+# ------------------------------------------------ the other commands
+
+# labels that JSON must escape: a quote, a backslash, control characters,
+# non-ASCII text, a lone surrogate and an astral character
+ESCAPED = ['q"uote', "back\\slash", "ctl\x00\x01\x1f.", "tab\tnl\n.", "café",
+           "snow☃", "lone\ud800", "face\U0001F600"]
+POOL = tuple(Fraction(k, 30) for k in range(60, 121))
+POW3 = tuple(Fraction(3) ** e for e in range(3, -3, -1))
+PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+SPECS = [[[2, "inf"]], [[4, 3], [6, "inf"]], [[12, 2], [5, 1]], [[9, "inf"]],
+         [[6, 2], [10, 3]], [[3, 2], [2, "inf"]]]
+
+
+def _zero(n):
+    return [[Fraction(0)] * n for _ in range(n)]
+
+
+def _general(rng, n):
+    """The max of a metric valued in [2, 4] and a line metric."""
+    pos = [rng.randint(0, 8) for _ in range(n)]
+    mat = _zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = max(rng.choice(POOL), Fraction(abs(pos[i] - pos[j])))
+    return mat
+
+
+def _ultra(rng, n, levels):
+    """An ultrametric from a random merge tree with heights from ``levels``."""
+    mat = _zero(n)
+
+    def build(idx, k):
+        if len(idx) < 2:
+            return
+        if k == len(levels) - 1:
+            for a in idx:
+                for b in idx:
+                    if a != b:
+                        mat[a][b] = levels[k]
+            return
+        parts = 2 if len(idx) == 2 else rng.randint(2, min(4, len(idx)))
+        rng.shuffle(idx)
+        cuts = sorted(rng.sample(range(1, len(idx)), parts - 1))
+        groups = [idx[a:b] for a, b in zip([0] + cuts, cuts + [len(idx)])]
+        for g, ga in enumerate(groups):
+            for gb in groups[g + 1:]:
+                for a in ga:
+                    for b in gb:
+                        mat[a][b] = mat[b][a] = levels[k]
+        for ga in groups:
+            build(ga, min(k + rng.randint(1, 3), len(levels) - 1))
+
+    build(list(range(n)), 0)
+    return mat
+
+
+def _coprime(rng, n):
+    """Distances 1 + a/p in (1, 2): a metric with a large common denominator."""
+    mat = _zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = rng.choice(PRIMES)
+            mat[i][j] = mat[j][i] = 1 + Fraction(rng.randint(1, p - 1), p)
+    return mat
+
+
+def _family(rng, family, n):
+    if family == "general":
+        return _general(rng, n)
+    if family == "ultra":
+        return _ultra(rng, n, [Fraction(k, 4) for k in sorted(rng.sample(range(8, 400), 20),
+                                                               reverse=True)])
+    if family == "pow3":
+        return _ultra(rng, n, POW3)
+    return _coprime(rng, n)
+
+
+def _archipelago(plan, strict, escaped=False):
+    """An archipelago file by its construction law, hub "o" first."""
+    labels, islands, running = ["o"], [], 0
+    for pos, (size, diam) in enumerate(plan, start=1):
+        running += diam
+        members = list(range(len(labels), len(labels) + size))
+        labels += [f"x{pos}.{j}" for j in range(1, size + 1)]
+        islands.append((size, diam, running + 1 if strict else running, members))
+    mat = _zero(len(labels))
+    for a, (_, diam, sep, members) in enumerate(islands):
+        for u in members:
+            mat[0][u] = mat[u][0] = Fraction(sep)
+            for v in members:
+                if u != v:
+                    mat[u][v] = Fraction(diam)
+        for _, _, other, others in islands[:a]:
+            for u in others:
+                for v in members:
+                    mat[u][v] = mat[v][u] = Fraction(max(other, sep))
+    if escaped:
+        labels = [labels[0]] + [f"{lab}{ESCAPED[i % len(ESCAPED)]}"
+                                for i, lab in enumerate(labels[1:])]
+    doc = _space_doc(mat)
+    doc["labels"] = labels
+    doc["base"] = "o"
+    doc["islands"] = [{"size": size, "diameter": diam, "separation": sep,
+                       "points": [labels[u] for u in members]}
+                      for size, diam, sep, members in islands]
+    return doc
+
+
+def _plan(rng, allowed, points):
+    sizes = []
+    while 1 + sum(sizes) < points:
+        sizes.append(allowed[len(sizes) % len(allowed)])
+    rng.shuffle(sizes)
+    return [[size, size + rng.randint(0, 3)] for size in sizes]
+
+
+
+
+def more_cases(write):
+    """Every other command on a success path and, where one exists, exit 1."""
+    out = []
+    rng = random.Random(7)
+    spaces = [("general", 16), ("general", 40), ("general", 48), ("ultra", 16),
+              ("ultra", 40), ("ultra", 48), ("pow3", 16), ("pow3", 40), ("pow3", 64),
+              ("coprime", 16), ("coprime", 28)]
+    for family, n in spaces:
+        mat = _family(rng, family, n)
+        doc = _space_doc(mat)
+        if n in (16, 48):
+            doc["labels"][:len(ESCAPED)] = ESCAPED
+        labels = doc["labels"]
+        path = write(doc)
+        tag = f"{family}/{n}"
+        for cmd in ("ultra-check", "subdominant", "dim0-cert", "verify-bounds", "quantize",
+                    "embed-lomega", "embed-universal"):
+            out.append((f"{cmd}/{tag}", [cmd, path]))
+        scales = sorted({v for row in mat for v in row})
+        for scale in (Fraction(1, 2), rng.choice(scales[1:]), scales[-1]):
+            out.append((f"components/{tag}/{scale}",
+                        ["components", path, "--scale", rational_str(scale)]))
+        base = labels[rng.randrange(n)]
+        subset = labels[rng.randrange(4)::4]
+        lam = rng.choice((Fraction(2), Fraction(3, 2), Fraction(5)))
+        argv = ["retract", path, "--base", base, "--subset", ",".join(subset),
+                "--lambda", rational_str(lam)]
+        out.append((f"retract/{tag}", argv))
+        out.append((f"retract/{tag}/delta", argv + ["--delta", "11/10"]))
+    one = write({"labels": ["solo"], "dist": [[0]]})
+    for name, doc in (("one-point", {"labels": ["solo"], "dist": [[0]]}),
+                      ("empty", {"labels": [], "dist": []})):
+        path = write(doc)
+        for cmd in ("ultra-check", "subdominant", "dim0-cert", "verify-bounds", "quantize",
+                    "embed-lomega", "embed-universal"):
+            out.append((f"{cmd}/{name}", [cmd, path]))
+    out.append(("retract/bad-lambda", ["retract", one, "--subset", "solo", "--lambda", "1/2"]))
+
+    for summands, depth in (([[2, "inf"]], 9), ([[3, "inf"]], 5), ([[12, 2], [5, 1]], 3)):
+        out.append((f"group-ball/{summands}/{depth}",
+                    ["group-ball", write({"summands": summands}), "--depth", str(depth)]))
+    for spec, p, q in (([[2, "inf"]], "1,0,1", "0,1"), ([[3, 2], [2, "inf"]], "2,1,1", "e"),
+                       ([[4, 3], [6, "inf"]], "3,2,1,5", "1,0,3"),
+                       ([[2, "inf"]], "1,x", "0")):
+        out.append((f"group-dist/{spec}/{p}/{q}", ["group-dist", write({"summands": spec}), p, q]))
+    for spec, element in (([[2, "inf"]], "1,0,1,1"), ([[2, 5]], "1,1,0,1,1"), ([[2, 5]], "e"),
+                          ([[4, 3], [6, "inf"]], "3,2,5"), ([[2, "inf"]], "2")):
+        out.append((f"m0-encode/{spec}/{element}",
+                    ["m0-encode", write({"summands": spec}), element]))
+    for spec in SPECS:
+        for prime in (2, 3, 5, 7, 4):
+            out.append((f"sylow/{spec}/{prime}",
+                        ["sylow", write({"summands": spec}), "--prime", str(prime)]))
+    for left in SPECS:
+        for right in SPECS:
+            out.append((f"protasov/{left}/{right}",
+                        ["protasov", write({"summands": left}), write({"summands": right})]))
+
+    for k, points in enumerate((20, 32, 48, 64)):
+        allowed = ((2, 3), (2, 5), (3, 4))[k % 3]
+        plan = {"lambda": list(allowed), "plan": _plan(rng, allowed, points), "strict": k % 2 == 0}
+        out.append((f"archipelago-build/{points}", ["archipelago-build", write(plan)]))
+    out.append(("archipelago-build/too-small",
+                ["archipelago-build", write({"lambda": [2], "plan": [[2, 1]]})]))
+    files = {}
+    for name, allowed, points, strict in (("a", (2, 3), 26, True), ("b", (2, 3), 26, True),
+                                          ("c", (2, 5), 50, True), ("d", (3, 4), 30, False)):
+        plan = _plan(rng, allowed, points)
+        files[name] = write(_archipelago(plan, strict, escaped=name == "c"))
+        out.append((f"archipelago-profile/{name}", ["archipelago-profile", files[name]]))
+    line = [[Fraction(abs(i - j)) for j in range(6)] for i in range(6)]
+    files["line"] = write(_space_doc(line))
+    out.append(("archipelago-profile/line", ["archipelago-profile", files["line"]]))
+    for left, right in (("a", "b"), ("a", "c"), ("c", "d"), ("a", "line")):
+        out.append((f"archipelago-compare/{left}/{right}",
+                    ["archipelago-compare", files[left], files[right]]))
+    for name in ("a", "c"):
+        samples = ["o:0", "o:7", "x1.1:0", "x2.1:3", "x1.2:100"]
+        if name == "c":
+            samples = ["o:9", "x1.1" + ESCAPED[0] + ":1/2"]
+        argv = ["ball-audit", files[name]]
+        for s in samples:
+            argv += ["--sample", s]
+        out.append((f"ball-audit/{name}", argv))
+    tight = _archipelago([[3, 3]], True)
+    tight["islands"][0]["diameter"] = 2  # the file claims a diameter below its size
+    out.append(("ball-audit/tight", ["ball-audit", write(tight), "--sample", "x1.1:2"]))
+    out.append(("ball-audit/bad-sample", ["ball-audit", files["a"], "--sample", "o"]))
+    return out
+
+
 def digests(tmp_dir):
     counter = iter(range(10**6))
     paths = []
@@ -124,7 +339,7 @@ def digests(tmp_dir):
         return path
 
     out = {}
-    for name, argv in cases(write):
+    for name, argv in cases(write) + more_cases(write):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(argv + ["--format", "json"])
@@ -262,6 +477,248 @@ GOLDEN = {
     'validate/AsymmetricThenDiagonal/40/(37, 38, 39)': 'bad562da09d3258702f32ef8f4f373a3e2dfe090af11b69d7615bf091871624c',
     'subdominant/AsymmetricThenDiagonal/40/(37, 38, 39)': '17580ff864a592b0ac44d3969d8eb14f4768d35d57f74b2dcc457504b3b7cfbb',
     'validate/band/40': 'ef460fb4b466602758b691ee5524dc24b2966744d6d04e45a63a952381b8d3c6',
+    'ultra-check/general/16': '96e7b69052b19bf8505fa6d06e9c713043110d09c1f25dcd3c12a209cad0ed7e',
+    'subdominant/general/16': '0f695bca82154b00963d678f1745b437684274502326cd183f9b5d06778f58de',
+    'dim0-cert/general/16': '10f5d0e09c546fa8a669104367820d61064091c5651ffd1dff32737c9807bb79',
+    'verify-bounds/general/16': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/general/16': '3b06eb2a7700387bd650a6157d4c5ac59bd397da23e356b963f0b88ed3e97b60',
+    'embed-lomega/general/16': '707927a79529d73baf5bce0e7dd76d59a78c154dc74fe3f3041165f9a71075bb',
+    'embed-universal/general/16': '758919d8cf85a6c4c91ea63ec4a972ba36c5b2c8164504af3a077c951e078dd9',
+    'components/general/16/1/2': '2e3a2b991555149ec485f4f279b4fbf53bb2ac870c9dc790c1d018b6f777c34d',
+    'components/general/16/4': '8ff7fb6dd7f6cd2f937a1b2107fc2f44d5386cb97b43eaf1978bc19225f3c645',
+    'components/general/16/8': '0ba971ee9f47b8f51057bb2e97bea8f066304ef11f449d32562b3a3721759629',
+    'retract/general/16': '707927a79529d73baf5bce0e7dd76d59a78c154dc74fe3f3041165f9a71075bb',
+    'retract/general/16/delta': '707927a79529d73baf5bce0e7dd76d59a78c154dc74fe3f3041165f9a71075bb',
+    'ultra-check/general/40': '3938770abd5802bc5bd5635bf777be872c184ac79553180ab136e943bf8e69c9',
+    'subdominant/general/40': '3166b3e389a3b36cb6143db56fe2943d9a4f1d09742d72dd1bdad78ad1b04382',
+    'dim0-cert/general/40': 'bb1a1c61c5ab167f1e89aa42783b638e037715c48062b697a475cd463c95934d',
+    'verify-bounds/general/40': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/general/40': '9af82a6945570b267cfd5f69754ae22ebca3a8dc4abe4ca3cbf5e7b0c95c5a9f',
+    'embed-lomega/general/40': 'e2b52e9f4005b6aa60b8bf1505ed7aa224b942a76dd4f418bacdc15779c2104f',
+    'embed-universal/general/40': '62c9325cd2118950f960bf412c0cb44f510856ff8d2b9b7aee06dd9a12dd3925',
+    'components/general/40/1/2': 'a854d51407e4825bfce2631ff84f195835ffdbd0b00d19eb85a0701c8b92ff40',
+    'components/general/40/31/15': '95e68473575e2ba7aab7f47e39a1aae901dbc0f964ded35829d9d60204489a1c',
+    'components/general/40/8': '424a7a0d1bcde4e8ec26ab1e44032eb36850be9c17e323becf2361807c4dac18',
+    'retract/general/40': 'e2b52e9f4005b6aa60b8bf1505ed7aa224b942a76dd4f418bacdc15779c2104f',
+    'retract/general/40/delta': 'e2b52e9f4005b6aa60b8bf1505ed7aa224b942a76dd4f418bacdc15779c2104f',
+    'ultra-check/general/48': 'fc43aba2c424722a0555aec6ab06a7c8192043b74d07c21a123b9683b45c9aa7',
+    'subdominant/general/48': '12eaa7825f82ea0e0c664108e39e5fbd5e01d05576806c6f629797b749763b34',
+    'dim0-cert/general/48': '133df4f4110943e79de5261a05d12654ee44705e4871483de802e91a8ea2ae89',
+    'verify-bounds/general/48': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/general/48': 'b5b6ca70f80e52386726794d6c417b74d217a8db009cb41857ca67b720367060',
+    'embed-lomega/general/48': 'e4f88840edaef88a83887c76c1a0acba5ec3bdb760e3b9fc0d2160217a7ffb51',
+    'embed-universal/general/48': '0fa2ae23b27d2451f0cff81d30be31f2433263158139f5f2568c4ba6104ec200',
+    'components/general/48/1/2': '8a82f11aad86a9cc43e867b3b30d2bdd6c2c41bf1f1a271bf430b5e8320bdff1',
+    'components/general/48/29/10': '19ee6d9730a556c0cb9e10607054063bdbe825160bd570979ef45eb23a575461',
+    'components/general/48/8': '5ee9eaa819f759e0109449b008252509643fe636867ecf8647815088756f045d',
+    'retract/general/48': 'e4f88840edaef88a83887c76c1a0acba5ec3bdb760e3b9fc0d2160217a7ffb51',
+    'retract/general/48/delta': 'e4f88840edaef88a83887c76c1a0acba5ec3bdb760e3b9fc0d2160217a7ffb51',
+    'ultra-check/ultra/16': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/ultra/16': '15f9013d2108c1885f850fe89fd476dc8b11d9ad20933eb0ac361ca603e1f314',
+    'dim0-cert/ultra/16': 'c6497e76be93c575c32b1a041ce0670994cb728054c40bb7599901a829e046b0',
+    'verify-bounds/ultra/16': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/ultra/16': 'd4aad9e94fa666b5abab18b619370e40982d9fef798b77e39efeda77ab158c60',
+    'embed-lomega/ultra/16': '6a729e55b07642ec5196966d69ce75171686f047f5ebe6886d2490daf2b5445f',
+    'embed-universal/ultra/16': '909d7316faa2b8aca49745f86bed1ff253b6ab28aa9749b10552c9ebb3682c2c',
+    'components/ultra/16/1/2': '2e3a2b991555149ec485f4f279b4fbf53bb2ac870c9dc790c1d018b6f777c34d',
+    'components/ultra/16/315/4': 'f1b5aa7038a8c21b374578639d04359965e9fbef18ba12be6d842314c65590c0',
+    'components/ultra/16/195/2': '0098631cca39f51c1fcca2756c0ed61ef4a36ecc4d0d5dae4d8e5555f6c2a6c9',
+    'retract/ultra/16': '42f62c19c5fa68d2bf3f75bcd06fdfa13a21a03249fe7a18ecf5f472d3265a8f',
+    'retract/ultra/16/delta': '2c3dcf72b21dd53a0912955b5e279769730a4673438aaecb433c7be1448fdf4f',
+    'ultra-check/ultra/40': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/ultra/40': '52adb4b3a539843328685c6e91cb8e207e812dca5443dd36ab8d45a35d174b4d',
+    'dim0-cert/ultra/40': 'd16077c030851a504e65198736ef96e9d3e2c8508ed52240c6d0684732588c4d',
+    'verify-bounds/ultra/40': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/ultra/40': '7d3494342057ae97b16bd979b05589d748c13564da25112dab2c0181730a2e21',
+    'embed-lomega/ultra/40': 'd1fb72abe93ab27fd3955b0449e4ffc15a78b69fb95d0c4027854459d158bc56',
+    'embed-universal/ultra/40': 'e519198770cf7347f5d40fb1d72c6a441cd04befb3768a7887c288b10911cfc1',
+    'components/ultra/40/1/2': 'a854d51407e4825bfce2631ff84f195835ffdbd0b00d19eb85a0701c8b92ff40',
+    'components/ultra/40/91': 'd5357890229618bd701397824a49ec35c4c9a83fd6a66936d4aeab5b4770de80',
+    'components/ultra/40/183/2': 'dccecced1731152d62ed4d16c8a3390741536b5879a6651ce0a7549afa9cfe53',
+    'retract/ultra/40': '9bfbec1525e7ba5dfd92d9b8bac9ada4830229d4affb7bbd5eadc55b45596981',
+    'retract/ultra/40/delta': 'f7ee990ce434161b9691a3b91a61d1e9189a03a8948fe6541de1f616ec0245fe',
+    'ultra-check/ultra/48': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/ultra/48': '6ac6a7d03102524f306af499fbff68f941d5b274a14f07530b4a37f8ebe5d175',
+    'dim0-cert/ultra/48': '0a0db83195d3f206fb4547942df0ad703eae5b74783734ec1940faf0597c2867',
+    'verify-bounds/ultra/48': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/ultra/48': '8c393fe7f844d8a32fb7d6f6874ce4b23cf8b062561ee302a8a46a2e2fa150b8',
+    'embed-lomega/ultra/48': 'ae1855730eee251bbcc08e08639cedbcc2c1574c4664f27e28be7718eef2f130',
+    'embed-universal/ultra/48': '5893b97d0f2048614bf73423cc2ab2a5fda4bd717f7dc6850d266348cf7f5b02',
+    'components/ultra/48/1/2': '8a82f11aad86a9cc43e867b3b30d2bdd6c2c41bf1f1a271bf430b5e8320bdff1',
+    'components/ultra/48/319/4': 'a13fe9de9a8c9f72957f244026721ae868b5ec20febe206a25f61d0acb1be1e8',
+    'components/ultra/48/343/4': '9603f16b0d29bd4d68b0746dba04bd01b105c434bacd71ddb796100ee71f64ab',
+    'retract/ultra/48': '3a3d17e3196c5820756b40b3ec852753441c7c922fa7728baf5c506abd8f2b4b',
+    'retract/ultra/48/delta': 'c6b3a02feed85ebf014526fd80b3ff54afbd0134c87740471b886117a74f594d',
+    'ultra-check/pow3/16': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/pow3/16': 'e52d2f61f095f4dfc6f3268f63f85b6ecbae2b66b30dcc9cc681d6127bad69ad',
+    'dim0-cert/pow3/16': '0213291219a354d2330e4118ca0c4da67740ed250c8bdb14fcb82aa2bc0a44af',
+    'verify-bounds/pow3/16': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/pow3/16': 'fb20d992f0f70f4c55fde6b7503aecdd202e07c307e60d819f4e0078830fc059',
+    'embed-lomega/pow3/16': '8830ffb73d174e4281b79a31e1e70fa4e3fb928ad4229576be7f24ec76348474',
+    'embed-universal/pow3/16': '6ea4128fdfd56f499f8955712533ac0d43a136cf797f70ea2aad9c917b8c8809',
+    'components/pow3/16/1/2': '62366770057435dce62aa378b5e25c2083acf678e275cdfc584dd4fdbe63f99b',
+    'components/pow3/16/1/3': '04257026fedfa54aeacafa8d8d81abdef45aef14fd9b6a4fe802df4d236fcc09',
+    'components/pow3/16/27': '815222a55b48cb1a68948b2fd3b08d0f8007851f54ef0ac9822018f5d31a7263',
+    'retract/pow3/16': '2c777082abce1cfbbe7d0948ec80eb41bf4c938344884e2e6153fa767c09c65d',
+    'retract/pow3/16/delta': '94503dbe87aa557defa47bd92f079f9cb4f17b492b307cf2ba77ecf66fc35da1',
+    'ultra-check/pow3/40': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/pow3/40': '9fd5ecdd0495a268833eba6bc9b1d4e6e12f15dfc7189a8ae861640c54ef76fd',
+    'dim0-cert/pow3/40': '95ac878285bc1d6f3c07e051034d8ed27d5ef9be0c600b58d1417c223ed3c2a4',
+    'verify-bounds/pow3/40': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/pow3/40': '5b3a3188181868cbe7c8b08b5fc83cf0b8efc4555f9dd761428426f168557e35',
+    'embed-lomega/pow3/40': 'f33622e13995593be97d74885b92fc1933bd71e84f22372d2ef23d9214388817',
+    'embed-universal/pow3/40': '947075f52d9fd4c638bd33bdac29703de397e99c44d338ba541f2e6c9ba02cfb',
+    'components/pow3/40/1/2': '33598c2d2bf0be0538a56e1ef6ed0d130860eb10f45f8a9cc3a2417808a8b5ab',
+    'components/pow3/40/3': '930abd789fca32e29d9f01dd6bd62be5ea4ec9b5e9fe4233a3f12082fcb89bad',
+    'components/pow3/40/27': 'de08c57ca485756039ee875660d90e44f9e57f4a70392029ef017d0d4d977efa',
+    'retract/pow3/40': 'ec50b8d9d4c44a301fee8ea1269e93cbdcf8bc7848cf96537fc6c4b2a2d80146',
+    'retract/pow3/40/delta': '08de7ac824f91687498a8aecf1cacb1cc6a46e308769c02963c822b3682899f4',
+    'ultra-check/pow3/64': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/pow3/64': '7904f90452422400115e513fa2135010cf425f9ced26a9162443e58baa97aa07',
+    'dim0-cert/pow3/64': '0213291219a354d2330e4118ca0c4da67740ed250c8bdb14fcb82aa2bc0a44af',
+    'verify-bounds/pow3/64': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/pow3/64': '673437f2bc65610bc69faab1428728e7d2ca5c3cf13c7c2cd422a79ae7b80e8a',
+    'embed-lomega/pow3/64': '6fa828aaa1ecf21cff5bda1cbcc6ba29f38a7f852d1276187d9859e9b8f808da',
+    'embed-universal/pow3/64': '0a1d818c0f111de7e60b236bb8cbeeefe830f49151845d9d158c77db1fe33644',
+    'components/pow3/64/1/2': '33e8949ff5030753de365c74fbecf0a375d31acd35a97656cb31d991898289ea',
+    'components/pow3/64/27': '9aa509bdbd1e79ca4b96796314dc673f25ee295549cc14f0bc4c5726ac136b91',
+    'retract/pow3/64': '80433906610cdf460aa242b0aa170995f774a1be7a6c1a24d0325e909491d8be',
+    'retract/pow3/64/delta': '4530fd73b76b7f7fcd16a4b08af0f6741e293fab3b3ae7f245cf144a9cbe1d16',
+    'ultra-check/coprime/16': '879f34c8c28c9940a3733ee6d2a96cf72361d9385ea04c057243a0a014609733',
+    'subdominant/coprime/16': 'fd89f4ca45d4c2e593c075dec6efeae13ee74b430b5271d19758465bcacfc4fa',
+    'dim0-cert/coprime/16': '3532823f05fac0ac44a277de544e0d05276affd2831f311545f5b39203cc8007',
+    'verify-bounds/coprime/16': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/coprime/16': '178fa23c6d9bf44966c8337c8f16df88730df2dc926a344ecf1d3ec34b9882bc',
+    'embed-lomega/coprime/16': 'ae1717083e3ab8bc40f1910d852be60897f5c47989016274188405f0ca97088e',
+    'embed-universal/coprime/16': '1aa9dff57c8dc5b228112a087c6d268ad3c19dc86e5ff0b0e669445a1ad6ac62',
+    'components/coprime/16/1/2': '2e3a2b991555149ec485f4f279b4fbf53bb2ac870c9dc790c1d018b6f777c34d',
+    'components/coprime/16/123/83': '6fa06b756dadb77f9e186f72b596af47e3f6ed8ef47452ead2879dde54f1c938',
+    'components/coprime/16/217/109': '545453fcb3ba28ac0a49d10a8c9c18a1bf241193f9e141cec55ec14d9bb95199',
+    'retract/coprime/16': 'ae1717083e3ab8bc40f1910d852be60897f5c47989016274188405f0ca97088e',
+    'retract/coprime/16/delta': 'ae1717083e3ab8bc40f1910d852be60897f5c47989016274188405f0ca97088e',
+    'ultra-check/coprime/28': 'fc7d8c2a3be5894ff27369187a5bf62780b81a54c5679bd2551fb508009a599a',
+    'subdominant/coprime/28': 'd59cbce9194a410e0fb910ede5f07051302e03b798f80ed17ca467366d0384b2',
+    'dim0-cert/coprime/28': 'b817a73731aef65c6f8888ca7178d8c54afbba18ef456c40e8fce4b791f8f924',
+    'verify-bounds/coprime/28': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/coprime/28': '1fca92aef74bf537f55565b71655e554a98b4dc716ceca7d89c790ca4ff35e1c',
+    'embed-lomega/coprime/28': '0ca1af4804bf374f6cda055f0d0a7665d220b79e578a8e0a6148ae913825f524',
+    'embed-universal/coprime/28': '1d1b191a8f724881c92ba2535bcaa3a9ef675fb67e0004ae26ca07d56820fc01',
+    'components/coprime/28/1/2': '741ff0c1772aaa228804fb1e5f61b1bc27d62cd8593af701fdc271aa3f8d7a76',
+    'components/coprime/28/106/67': '1436bea6f07adb459c50ad3c7630e3ace6351495890524b59e8d79c72179a4f0',
+    'components/coprime/28/217/109': '64d81645f0901cd85e7420d5961db0fcde3602d0eb7d299fafdf537d03a954e5',
+    'retract/coprime/28': '0ca1af4804bf374f6cda055f0d0a7665d220b79e578a8e0a6148ae913825f524',
+    'retract/coprime/28/delta': '0ca1af4804bf374f6cda055f0d0a7665d220b79e578a8e0a6148ae913825f524',
+    'ultra-check/one-point': '5d6955fff8054229886e4b3588cee4c0536455133d297ce37c4767ec52d56600',
+    'subdominant/one-point': '5451ca6af46e9b66a9e6e15b70ace17dea257647c1fc1976035658361ef5e7df',
+    'dim0-cert/one-point': '4e3163039ad05ea32db80e8dc7f33d2d03595f5ecdbd24b94249048c8a9ccfad',
+    'verify-bounds/one-point': '2caae267ff69810bdb9d217d9fdb03470a375b695637834f16ef3f0296dd12e6',
+    'quantize/one-point': '68d6b1a84c407a36035c0018998345abe5383fadab4b0089463f51c849056cf3',
+    'embed-lomega/one-point': '9acfcdbb43e822baa853ff575633c07ff213a6df97ddce37cff43ef3c7765b08',
+    'embed-universal/one-point': 'b73ef5ab087806516fb6093c626469f62b0dd3403eb1351654da6f340690c65a',
+    'ultra-check/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'subdominant/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'dim0-cert/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'verify-bounds/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'quantize/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'embed-lomega/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'embed-universal/empty': '0889c8c50565b04e749bcb441fef2fefb287d2f1e17a655674a9feb372a755c5',
+    'retract/bad-lambda': 'e768892ed3f73323dcbd8ac353939190f944abef8ea3319f2544a6a1ee80fc37',
+    "group-ball/[[2, 'inf']]/9": '75e7bbd1d4394d150050b75d9315070db9284a0b4a3d6c305f420b9dc1d59bb9',
+    "group-ball/[[3, 'inf']]/5": '1681f9eb2f466651ac89678cb724002cf593aa797aa1a9b279c17d800d6f5b39',
+    'group-ball/[[12, 2], [5, 1]]/3': '097ac5e3b3eda63e58de580c55d8df128cbfeb4d0dc9f87accc5533b01b7c2cf',
+    "group-dist/[[2, 'inf']]/1,0,1/0,1": '984146a5c4ad4502eee84cdfac54b89d85bc35b9d8fb8bf78731846fedab7bc6',
+    "group-dist/[[3, 2], [2, 'inf']]/2,1,1/e": '984146a5c4ad4502eee84cdfac54b89d85bc35b9d8fb8bf78731846fedab7bc6',
+    "group-dist/[[4, 3], [6, 'inf']]/3,2,1,5/1,0,3": '8888409a4185b59030e5ad33b19ba75632d7804d21ea9f74f437078bd35157ef',
+    "group-dist/[[2, 'inf']]/1,x/0": '4e5f6507c7c7be568c419e3723148b3019b2913855060256d6adab9e550d3e62',
+    "m0-encode/[[2, 'inf']]/1,0,1,1": '85638d901a7a63f35d84ec5d7d21074fd477352be10061be39ebc8c35342c88c',
+    'm0-encode/[[2, 5]]/1,1,0,1,1': '512d93bf203fd806a7c7357d0c5165c2c98262dec0adc705520e88bed8a86a53',
+    'm0-encode/[[2, 5]]/e': '2b88206a157cfba0187620577aebb8cc13f1b53b570d712c7e02e29fd6f2a9b8',
+    "m0-encode/[[4, 3], [6, 'inf']]/3,2,5": 'fb10fa3b51b2673b286940cd1b9a5d961f6498cd8db44f3691f80cb91b784e2e',
+    "m0-encode/[[2, 'inf']]/2": '9196101ad94c1abd5e378162d10ed6397c954c08fc56978e97e9e3affe96c45b',
+    "sylow/[[2, 'inf']]/2": '169173c8efc5e0dd452367e75bd8bcab44a844330c21f7681604344d3a5fa455',
+    "sylow/[[2, 'inf']]/3": '205039b66d1d9acc7a2b4c87b3bec5d589826633ad5a919499036e124f3b27f5',
+    "sylow/[[2, 'inf']]/5": 'dc2682037a0d9ab98fdc273f86aee3e4813d04d7f080f715d530438c1bc22111',
+    "sylow/[[2, 'inf']]/7": '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    "sylow/[[2, 'inf']]/4": '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    "sylow/[[4, 3], [6, 'inf']]/2": '169173c8efc5e0dd452367e75bd8bcab44a844330c21f7681604344d3a5fa455',
+    "sylow/[[4, 3], [6, 'inf']]/3": '5e19638b1958c985029e0a055aec8b2ae1ce3bb3b61f1a740e043980de3dffbd',
+    "sylow/[[4, 3], [6, 'inf']]/5": 'dc2682037a0d9ab98fdc273f86aee3e4813d04d7f080f715d530438c1bc22111',
+    "sylow/[[4, 3], [6, 'inf']]/7": '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    "sylow/[[4, 3], [6, 'inf']]/4": '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    'sylow/[[12, 2], [5, 1]]/2': '63624c5f2d141818dfe82fbd930dd3791ac5d363c05c6c7befad2e181c6e1ef6',
+    'sylow/[[12, 2], [5, 1]]/3': '9300d78009c6676a65b50cd5d7978593816e64981a4de20b31b49decdb07572f',
+    'sylow/[[12, 2], [5, 1]]/5': '6251d45862db12ea835081170785c0158db865214672c3bc9269f3bb7fb37673',
+    'sylow/[[12, 2], [5, 1]]/7': '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    'sylow/[[12, 2], [5, 1]]/4': '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    "sylow/[[9, 'inf']]/2": 'ace48e7123575683042420362e404d1246b1c1e030ef4421518fb1c5ae8d9e6b',
+    "sylow/[[9, 'inf']]/3": '5e19638b1958c985029e0a055aec8b2ae1ce3bb3b61f1a740e043980de3dffbd',
+    "sylow/[[9, 'inf']]/5": 'dc2682037a0d9ab98fdc273f86aee3e4813d04d7f080f715d530438c1bc22111',
+    "sylow/[[9, 'inf']]/7": '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    "sylow/[[9, 'inf']]/4": '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    'sylow/[[6, 2], [10, 3]]/2': '8950aec8c90e79a0a622589da18abaddb2569c303b42f24f4fcd450e599bf57d',
+    'sylow/[[6, 2], [10, 3]]/3': '9300d78009c6676a65b50cd5d7978593816e64981a4de20b31b49decdb07572f',
+    'sylow/[[6, 2], [10, 3]]/5': '471647ac347a7955ac4bf98ff1b7881afd6c3bb0ebc7afadd1f09f1e0c9f1a37',
+    'sylow/[[6, 2], [10, 3]]/7': '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    'sylow/[[6, 2], [10, 3]]/4': '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    "sylow/[[3, 2], [2, 'inf']]/2": '169173c8efc5e0dd452367e75bd8bcab44a844330c21f7681604344d3a5fa455',
+    "sylow/[[3, 2], [2, 'inf']]/3": '9300d78009c6676a65b50cd5d7978593816e64981a4de20b31b49decdb07572f',
+    "sylow/[[3, 2], [2, 'inf']]/5": 'dc2682037a0d9ab98fdc273f86aee3e4813d04d7f080f715d530438c1bc22111',
+    "sylow/[[3, 2], [2, 'inf']]/7": '64e2b367c04d2d5079f82cbcab36bf6f8ecd4d8807c7ba011b89c255a39bf09e',
+    "sylow/[[3, 2], [2, 'inf']]/4": '91ba52db9a55583cb5d2aaae4457c1b0b6129ae2c1bb64aa6cf516c98c836fd3',
+    "protasov/[[2, 'inf']]/[[2, 'inf']]": '8965fb92e39b1d11f65e35fdf09cf2e9ba22ccbfe8197b1e4a5c0a5b9e76536d',
+    "protasov/[[2, 'inf']]/[[4, 3], [6, 'inf']]": '291d3bdc33740c971fc4f2da0d649d0f378059747160ecefa8e9e00bf397699f',
+    "protasov/[[2, 'inf']]/[[12, 2], [5, 1]]": '90952d45d933dff632195f5bfb1938e395dc4f80b4c4340a6e1593b703631c56',
+    "protasov/[[2, 'inf']]/[[9, 'inf']]": '91f7adcd9b5f627b97c15b33561684d41cad31d6757c31692aea141ef295dfc5',
+    "protasov/[[2, 'inf']]/[[6, 2], [10, 3]]": '36a9a6b6904d62e14221c1164c3db87bf969d997e8521495d1ff518e0f16f677',
+    "protasov/[[2, 'inf']]/[[3, 2], [2, 'inf']]": '3ea12c38794769ee0aab8e2ad4b4309d26a1fbee1b9ef0d4abd8c6f85b00a346',
+    "protasov/[[4, 3], [6, 'inf']]/[[2, 'inf']]": '2d68095c5130606dd8591cf848e6e4a4cd99f2e9746c7feaf9387d6906536d4d',
+    "protasov/[[4, 3], [6, 'inf']]/[[4, 3], [6, 'inf']]": 'fe598b45929da2bcfd79d6fa13af81c398aff81aa260ae5b6d017e4eeeea2d27',
+    "protasov/[[4, 3], [6, 'inf']]/[[12, 2], [5, 1]]": '68e608ede79f860a3653d3e2a6d35f7e45499d51ffaf35ac582129c96f043ad4',
+    "protasov/[[4, 3], [6, 'inf']]/[[9, 'inf']]": 'a692208bac6d2ce758dbb034268ecd3620acbb9832f4e4c5f73b4d1bc6ed45e6',
+    "protasov/[[4, 3], [6, 'inf']]/[[6, 2], [10, 3]]": 'c858e6c39b4048b93bb481e484726f650c2c8703b95bf49601d982a6fc1daf7b',
+    "protasov/[[4, 3], [6, 'inf']]/[[3, 2], [2, 'inf']]": '49f73e545dc6f68cd6a1f4bc980d733c077a6d02c92ed332571cba7210677146',
+    "protasov/[[12, 2], [5, 1]]/[[2, 'inf']]": 'bd8eaca6f36e98cd32658c75d3ad6f425f3160758a3cc196402617f8c154f662',
+    "protasov/[[12, 2], [5, 1]]/[[4, 3], [6, 'inf']]": 'afff804adc7ad35ec5f33031146269bba0da8f0f1efb6eadb0accd1f56ccd33a',
+    'protasov/[[12, 2], [5, 1]]/[[12, 2], [5, 1]]': '659cceb4fe9047d7d1c283b8929d085761172185f51b02430e1f6706494630fe',
+    "protasov/[[12, 2], [5, 1]]/[[9, 'inf']]": '53d28cedbd523c243368d8869e1dc0271f236d9b9b38eb73dfd62cd219a9f793',
+    'protasov/[[12, 2], [5, 1]]/[[6, 2], [10, 3]]': '826a593abc1e68f087c26cf8741d69842c77b46e84b7aaa9642cc75069fb90d9',
+    "protasov/[[12, 2], [5, 1]]/[[3, 2], [2, 'inf']]": '6f7aa0ab71b8215b90b32847b0d7c58be696648908d2e47ec3d83935fc865f91',
+    "protasov/[[9, 'inf']]/[[2, 'inf']]": '8b27689c2b46fa44e6487885866f80a3ea256d8aa6d70dcab505dccc5e6b1533',
+    "protasov/[[9, 'inf']]/[[4, 3], [6, 'inf']]": 'b2f58e0791a3714b13ec1295b60df01ac00628d9c9505ddd5d335fa4dd266e43',
+    "protasov/[[9, 'inf']]/[[12, 2], [5, 1]]": 'f32d70531724009a9fd4ada49d140918c09a8cffc12c1506142b1a9d679eab1f',
+    "protasov/[[9, 'inf']]/[[9, 'inf']]": 'b532a59c35bcc897652421a100acacd8a488cb2e04a8fa2a1042309ee9f1a9e3',
+    "protasov/[[9, 'inf']]/[[6, 2], [10, 3]]": '5464648a663f7e94a51844122c274f2b41f963917fc0617673463f5664cebc5c',
+    "protasov/[[9, 'inf']]/[[3, 2], [2, 'inf']]": 'a7507e09cd2a3ff999561d59d5f0ad6bb0ca3d94310d979d8b9a469f88d461b4',
+    "protasov/[[6, 2], [10, 3]]/[[2, 'inf']]": 'f170b869ed2cb836183293438a5dfa3ff66ae2ebc459b01a69c1b6130d8b526a',
+    "protasov/[[6, 2], [10, 3]]/[[4, 3], [6, 'inf']]": 'cb4c3c6fdf9177d9596cf978ff480e028e58ad648bbccdaf2bab082f2044307d',
+    'protasov/[[6, 2], [10, 3]]/[[12, 2], [5, 1]]': 'd492e983300fae5964d586938a663ad8f840b3eeacad6da84c1db12e51efa738',
+    "protasov/[[6, 2], [10, 3]]/[[9, 'inf']]": '60ed95b6f05068b4b6f8faa7294f9a3f62fa4205084499597d240fe329501529',
+    'protasov/[[6, 2], [10, 3]]/[[6, 2], [10, 3]]': '3fee5e601f38b0838da3befc05c8e1f98617aac4d866bcc353b226848ef0d476',
+    "protasov/[[6, 2], [10, 3]]/[[3, 2], [2, 'inf']]": '5f58ed5c1746e22628670d8efeca7aa23202bceeefd66160feb0065b091e46bf',
+    "protasov/[[3, 2], [2, 'inf']]/[[2, 'inf']]": '7069e9544cd219ae4b30341d063743938b012dc6af01a655b7eea9c748e32752',
+    "protasov/[[3, 2], [2, 'inf']]/[[4, 3], [6, 'inf']]": 'dcefd47580b03561a69bd044fbd70dc0d4b9eaa5986727f9b910dc5dfdaadac4',
+    "protasov/[[3, 2], [2, 'inf']]/[[12, 2], [5, 1]]": '2b99d721984318102c6ce780ea79ef97695854a78b8a3472f1dd5323325eda31',
+    "protasov/[[3, 2], [2, 'inf']]/[[9, 'inf']]": 'e143c34efcd41e8c0572240c038eb5778e6efaca6cc2af6fc5e6369d9d805144',
+    "protasov/[[3, 2], [2, 'inf']]/[[6, 2], [10, 3]]": '58d0172b06fba0223a43b3616924b0771254921c3f21c68b58dbdbae01c9dce9',
+    "protasov/[[3, 2], [2, 'inf']]/[[3, 2], [2, 'inf']]": 'c8361bb240f67d2be7b841208f1cecf3d1b21302d108114425cfd4025a4545da',
+    'archipelago-build/20': '8858c59fd367d52692b7f03ecf9a0425b157e0f2f034ce8724a623b9859de714',
+    'archipelago-build/32': '32473ca46d9412e5778f2846d513bba0c7ddcacade0ab286ac6a49cad505dc01',
+    'archipelago-build/48': '12835b04fdb07770d3320e146f9e00df3f8813e2b657eed6e2be073cc38cbfe6',
+    'archipelago-build/64': '6b6fc38dc33bc814df0c3c1921401ba7d3f6ed48fad304745e69c3733039cf42',
+    'archipelago-build/too-small': 'ba3007dc38cf93baf7058db01a527ac2889ecdb6bc87dc01d903a3e2bfc17372',
+    'archipelago-profile/a': '41416ec45eb0c5fd4c78c6914d5de450a65e44fda205d0d483b556319678c37d',
+    'archipelago-profile/b': '04df0693d7f2e658da800e89f10687ffa3efb7a225784adbcbbaa2bdbcd96a3f',
+    'archipelago-profile/c': 'b62e79c2c4021d82914e7eb315318812d5fa29663ef7502cab46e84521ba0007',
+    'archipelago-profile/d': '8ea4d5a961d1e7df15477c2843171fc7584a37de74874eaa4fda8180a75d43ee',
+    'archipelago-profile/line': 'd7d3c7fff4127c53cc64a47120da791d61c5ce4006f0ca1ba29ee341e8f40ff5',
+    'archipelago-compare/a/b': '6e603bd33c2b7e7133dca8c89d8f7ce6987a2e9efa4451db0bd584084e22f9e7',
+    'archipelago-compare/a/c': '822dcd7f00109ffe1d91e5aeee1576af7fdf063ce3d8e2554094f51ece6b8def',
+    'archipelago-compare/c/d': '922d401d99196e2ae5453f7f06890e722ff720e993426aba8484979fd7d87ba3',
+    'archipelago-compare/a/line': 'd7d3c7fff4127c53cc64a47120da791d61c5ce4006f0ca1ba29ee341e8f40ff5',
+    'ball-audit/a': '1c497888613c636f269e65966203bc007382ba1b2fbdd46f808b6de64991abfa',
+    'ball-audit/c': '0c3cdfd7b60ef20f018114c5a2e6a90e2b05a98dba150fa1aae8569dcb9982d9',
+    'ball-audit/tight': 'c49568ffca56298f00f8f54e4b2511da7f1a70641ac097b245933991d608ad6f',
+    'ball-audit/bad-sample': 'd8d058795349d72f1db32a3c86cfe0770cc10655d0736c1f5222621d703870e5',
 }
 
 
