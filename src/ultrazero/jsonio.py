@@ -10,6 +10,7 @@ parsers; parse(emit(x)) reproduces x bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any
@@ -45,7 +46,58 @@ def load_document(path: str) -> Any:
 
 
 def dump_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    That call runs the pure-Python encoder, since the C encoder does not
+    take ``indent``, and makes one small str per matrix entry. Here dicts
+    and lists are walked in Python at the same indent, but a non-empty
+    list of plain ints and strs (a matrix row) is encoded in one C-encoder
+    call whose item separator carries the row's newline and indent. Every
+    other value goes through ``json.dumps`` alone, so escapes stay the same.
+    """
+    parts: list[str] = []
+    _dump(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_PLAIN = frozenset((int, str))
+
+
+@functools.cache
+def _row_encoder(pad: str):
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode
+
+
+def _dump(value: Any, pad: str, out) -> None:
+    """Write ``value`` as indent=2 writes it with ``pad`` ("\\n" plus the
+    current indent) opening each of its continuation lines."""
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if _PLAIN.issuperset(map(type, value)):
+            out("[" + inner + _row_encoder(inner)(value)[1:-1])
+        else:
+            sep = "["
+            for item in value:
+                out(sep + inner)
+                _dump(item, inner, out)
+                sep = ","
+        out(pad + "]")
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = json.dumps(key)  # the spelling json gives such a key
+            out(sep + inner + json.dumps(key) + ": ")
+            _dump(item, inner, out)
+            sep = ","
+        out(pad + "}")
+    else:
+        out(json.dumps(value))
 
 
 def _need(doc: Any, key: str, kind: type, where: str) -> Any:
@@ -62,11 +114,16 @@ def _need(doc: Any, key: str, kind: type, where: str) -> Any:
 
 # ---------------------------------------------------------------- spaces
 
+def _matrix_rows(dist) -> list[list[int | str]]:
+    """A distance matrix in the space-file encoding of ``matrix_value``."""
+    return [
+        [v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}" for v in row]
+        for row in dist
+    ]
+
+
 def space_to_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "dist": [[matrix_value(v) for v in row] for row in space.dist],
-    }
+    return {"labels": list(space.labels), "dist": _matrix_rows(space.dist)}
 
 
 def space_from_json(doc: Any) -> FiniteMetricSpace:
@@ -119,7 +176,7 @@ def subdominant_to_json(result: SubdominantResult) -> dict:
     labels = result.rho.labels
     return {
         "labels": list(labels),
-        "dist": [[matrix_value(v) for v in row] for row in result.rho.dist],
+        "dist": _matrix_rows(result.rho.dist),
         "spanning_edges": [
             [labels[i], labels[j], rational_str(w)] for w, i, j in result.spanning_edges
         ],

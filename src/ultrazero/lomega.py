@@ -242,7 +242,8 @@ def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:
     for i in range(n):
         for j in range(i + 1, n):
             got = mu(images[i], images[j])
-            assert got.exponent == exp[i][j], "isometry audit failed"
+            if got.exponent != exp[i][j]:
+                raise AssertionError("isometry audit failed")
             checked += 1
     one = Fraction(1)
     return LOmegaEmbedding(space, tuple(images), "isometric", checked, one, one)
@@ -267,7 +268,8 @@ def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
     for i in range(n):
         for j in range(i + 1, n):
             ratio = mu(inner.images[i], inner.images[j]).as_fraction() / space.dist[i][j]
-            assert 1 <= ratio < 3, "quantized embedding left the [1,3) window"
+            if not 1 <= ratio < 3:
+                raise AssertionError("quantized embedding left the [1,3) window")
             if first:
                 lo = hi = ratio
                 first = False

@@ -46,7 +46,8 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(q: Fraction) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -165,7 +165,8 @@ def lipschitz_retraction(
                 pick = a
         assignment[x] = pick
     audited = audit_lipschitz(space, assignment)
-    assert audited <= lam, "audit exceeded lambda; construction bug"
+    if audited > lam:
+        raise AssertionError("audit exceeded lambda; construction bug")
     return RetractionMap(pointed, members, lam, delta, tuple(assignment), audited)
 
 

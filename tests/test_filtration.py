@@ -7,12 +7,8 @@ are checked against it entry by entry, and the m0 audit against the
 per-pair Fraction loop it replaced.
 """
 
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +25,6 @@ from ultrazero import (
 from ultrazero import groups
 from ultrazero.groups import M0Report, ball_elements, element_label
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # ---------------------------------------------------------------- oracles
 
@@ -180,14 +175,8 @@ def test_embedding_is_an_isometry_of_the_balls(src, dst, depth):
         assert emb.source.d(i, j) == emb.target.d(emb.assignment[i], emb.assignment[j])
 
 
-def _run_optimized(body: str) -> subprocess.CompletedProcess:
-    code = "import sys\nassert not __debug__ and sys.flags.optimize\n" + textwrap.dedent(body)
-    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env={"PYTHONPATH": SRC}, timeout=60)
-
-
-def test_embedding_audit_survives_optimized_mode():
-    done = _run_optimized("""
+def test_embedding_audit_survives_optimized_mode(run_optimized):
+    done = run_optimized("""
         from ultrazero import CyclicSumSpec, FiniteMetricSpace, groups
 
         real = groups.group_ball
@@ -209,8 +198,8 @@ def test_embedding_audit_survives_optimized_mode():
     assert done.stdout == "raised: digitwise map failed the isometry audit\n"
 
 
-def test_quantize_window_check_survives_optimized_mode():
-    done = _run_optimized("""
+def test_quantize_window_check_survives_optimized_mode(run_optimized):
+    done = run_optimized("""
         from ultrazero import metric_core, validate_metric
 
         real = metric_core.ceil_exponent_base3

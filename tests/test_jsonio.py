@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen
 from ultrazero import (
@@ -26,6 +28,7 @@ from ultrazero.jsonio import (
     certificate_to_json,
     dump_text,
     element_from_text,
+    embedding_to_json,
     error_to_json,
     load_document,
     m0_to_json,
@@ -40,6 +43,7 @@ from ultrazero.jsonio import (
     space_to_json,
     spec_from_json,
     spec_to_json,
+    subdominant_to_json,
     sylow_to_json,
     witness_to_json,
 )
@@ -77,6 +81,68 @@ class TestLoadDump:
         rng = make_rng(701)
         s = gen.random_metric(rng, 6)
         assert dump_text(space_to_json(s)) == dump_text(space_to_json(s))
+
+
+_CHARS = st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "/", "é", "\U0001F600", "\ud800", "\udfff"]))
+_TEXT = st.text(_CHARS, max_size=6)
+_INTS = st.one_of(st.integers(-300, 300), st.integers(-(10**40), 10**40))
+_ATOMS = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), st.floats())
+_DOCS = st.recursive(
+    _ATOMS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=40,
+)
+
+
+def _oracle(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestWriterOracle:
+    """dump_text must reproduce json.dumps(doc, indent=2) + "\\n" byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCS)
+    @example([[]])
+    @example({"a": [], "b": {}, "c": [[], {}, [[]]], "d": [{"e": []}]})
+    @example([[1, "x"], [True, 2], [2, False], [None, 1], [1.5, 2]])
+    def test_matches_json_dumps(self, doc):
+        assert dump_text(doc) == _oracle(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(_INTS, _TEXT, st.booleans()), max_size=6), max_size=6))
+    def test_matrix_rows_with_bools_mixed_in(self, rows):
+        doc = {"labels": [str(i) for i in range(len(rows))], "dist": rows}
+        assert dump_text(doc) == _oracle(doc)
+
+    def test_tuples_and_non_string_keys(self):
+        doc = {"t": (1, ("a", [2])), 1: [True], None: {"k": ()}, 2.5: "x", False: 0}
+        assert dump_text(doc) == _oracle(doc)
+        for bad in ({(1, 2): 0}, [object()], {"a": [1, 2, {3}]}):
+            with pytest.raises(TypeError) as got:
+                dump_text(bad)
+            with pytest.raises(TypeError) as want:
+                _oracle(bad)
+            assert str(got.value) == str(want.value)
+
+    def test_empty_and_one_point_spaces(self):
+        empty = {"labels": [], "dist": []}
+        assert dump_text(empty) == _oracle(empty)
+        one = space_to_json(validate_metric(["a"], [[0]]))
+        assert one == {"labels": ["a"], "dist": [[0]]}
+        assert dump_text(one) == _oracle(one)
+
+    def test_matrix_reports(self, make_rng):
+        space = gen.random_metric(make_rng(702), 12)
+        sub = subdominant_ultrametric(space)
+        arch = build_archipelago([2, 3], [(2, 2), (3, 4), (2, 3)], strict=True)
+        for doc, dist in ((space_to_json(space), space.dist),
+                          (subdominant_to_json(sub), sub.rho.dist),
+                          (archipelago_to_json(arch), arch.space.dist)):
+            assert doc["dist"] == [[matrix_value(q) for q in row] for row in dist]
+            assert dump_text(doc) == _oracle(doc)
 
 
 class TestSpaceDocs:

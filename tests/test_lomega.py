@@ -249,3 +249,41 @@ class TestEmbedUltrametric:
         line = validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with err("NotUltrametric"):
             embed_ultrametric(line)
+
+
+class TestAuditsSurviveOptimizedMode:
+    def test_isometry_audit(self, run_optimized):
+        done = run_optimized("""
+            from ultrazero import lomega, validate_metric
+
+            real = lomega.mu
+            lomega.mu = lambda p, q: lomega.ThreePower(real(p, q).exponent - 1)
+            space = validate_metric(["a", "b"], [[0, 1], [1, 0]])
+            try:
+                lomega.embed_3n_valued(space)
+            except AssertionError as exc:
+                print("raised:", exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: isometry audit failed\n"
+
+    def test_window_audit(self, run_optimized):
+        done = run_optimized("""
+            from ultrazero import FiniteMetricSpace, lomega, metric_core, validate_metric
+
+            real = metric_core.quantize_3adic
+
+            def inflated(space):
+                out = real(space)
+                return FiniteMetricSpace(out.labels,
+                                         tuple(tuple(9 * v for v in row) for row in out.dist))
+
+            metric_core.quantize_3adic = inflated
+            space = validate_metric(["a", "b"], [[0, 2], [2, 0]])
+            try:
+                lomega.embed_ultrametric(space)
+            except AssertionError as exc:
+                print("raised:", exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: quantized embedding left the [1,3) window\n"

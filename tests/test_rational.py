@@ -1,5 +1,6 @@
 """Exact rational parsing and base-three helpers."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,20 @@ def test_rational_str_round_trips():
         assert parse_rational(rational_str(q)) == q
     assert rational_str(F(4, 2)) == "2"
     assert rational_str(F(1, 3)) == "1/3"
+
+
+def test_rational_str_formats_without_rebuilding_a_fraction():
+    # ints and Fractions are formatted directly; anything else still goes
+    # through Fraction(), so it is read or refused exactly as before
+    for value in (7, -12, 0, True, F(6, 4), F(-5), 2.5, "3/9", " 4 "):
+        q = F(value)
+        assert rational_str(value) == (str(q.numerator) if q.denominator == 1
+                                       else f"{q.numerator}/{q.denominator}")
+    for bad in (None, [1], "x", float("nan")):
+        with pytest.raises((TypeError, ValueError)) as got:
+            rational_str(bad)
+        with pytest.raises(type(got.value), match=re.escape(str(got.value))):
+            F(bad)
 
 
 def test_ceil_exponent_base3():

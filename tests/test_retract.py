@@ -191,3 +191,18 @@ class TestBruteForce:
         s = gen.random_ultrametric(rng, 18)
         with err("OracleSizeExceeded"):
             brute_force_min_constant(s, list(range(10)))
+
+
+def test_lambda_audit_survives_optimized_mode(run_optimized):
+    done = run_optimized("""
+        from ultrazero import PointedSpace, retract, validate_metric
+
+        retract.audit_lipschitz = lambda space, assignment: 100
+        tripod = PointedSpace(validate_metric("pqr", [[0, 1, 3], [1, 0, 3], [3, 3, 0]]), 2)
+        try:
+            retract.lipschitz_retraction(tripod, ["q", "r"], 4)
+        except AssertionError as exc:
+            print("raised:", exc)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: audit exceeded lambda; construction bug\n"
