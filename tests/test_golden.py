@@ -265,14 +265,14 @@ def more_cases(write):
                 "--lambda", rational_str(lam)]
         out.append((f"retract/{tag}", argv))
         out.append((f"retract/{tag}/delta", argv + ["--delta", "11/10"]))
-    one = write({"labels": ["solo"], "dist": [[0]]})
     for name, doc in (("one-point", {"labels": ["solo"], "dist": [[0]]}),
                       ("empty", {"labels": [], "dist": []})):
         path = write(doc)
         for cmd in ("ultra-check", "subdominant", "dim0-cert", "verify-bounds", "quantize",
                     "embed-lomega", "embed-universal"):
             out.append((f"{cmd}/{name}", [cmd, path]))
-    out.append(("retract/bad-lambda", ["retract", one, "--subset", "solo", "--lambda", "1/2"]))
+    out.append(("retract/bad-lambda", ["retract", write({"labels": ["solo"], "dist": [[0]]}),
+                                       "--subset", "solo", "--lambda", "1/2"]))
 
     for summands, depth in (([[2, "inf"]], 9), ([[3, "inf"]], 5), ([[12, 2], [5, 1]], 3)):
         out.append((f"group-ball/{summands}/{depth}",
@@ -312,10 +312,8 @@ def more_cases(write):
     for left, right in (("a", "b"), ("a", "c"), ("c", "d"), ("a", "line")):
         out.append((f"archipelago-compare/{left}/{right}",
                     ["archipelago-compare", files[left], files[right]]))
-    for name in ("a", "c"):
-        samples = ["o:0", "o:7", "x1.1:0", "x2.1:3", "x1.2:100"]
-        if name == "c":
-            samples = ["o:9", "x1.1" + ESCAPED[0] + ":1/2"]
+    for name, samples in (("a", ["o:0", "o:7", "x1.1:0", "x2.1:3", "x1.2:100"]),
+                          ("c", ["o:9", "x1.1" + ESCAPED[0] + ":1/2"])):
         argv = ["ball-audit", files[name]]
         for s in samples:
             argv += ["--sample", s]

@@ -28,7 +28,6 @@ from ultrazero.jsonio import (
     certificate_to_json,
     dump_text,
     element_from_text,
-    embedding_to_json,
     error_to_json,
     load_document,
     m0_to_json,
@@ -135,7 +134,7 @@ class TestWriterOracle:
         assert dump_text(one) == _oracle(one)
 
     def test_matrix_reports(self, make_rng):
-        space = gen.random_metric(make_rng(702), 12)
+        space = gen.random_metric(make_rng(704), 12)
         sub = subdominant_ultrametric(space)
         arch = build_archipelago([2, 3], [(2, 2), (3, 4), (2, 3)], strict=True)
         for doc, dist in ((space_to_json(space), space.dist),
