@@ -8,7 +8,7 @@ edges once spaces get into the hundreds of points.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
 
@@ -95,32 +95,37 @@ def prim_mst(dist) -> list[tuple[Fraction, int, int]]:
     return edges
 
 
-def bottleneck_matrix(n: int, mst_edges) -> list[list[Fraction]]:
-    """All-pairs minimax edge weight along the tree, as a full matrix.
+def merges(n: int, mst_edges) -> Iterator[tuple[Fraction, list[int], list[int]]]:
+    """Single-linkage merges along a spanning tree of the points 0..n-1.
 
-    Processing tree edges by increasing weight and merging member lists
-    assigns each pair exactly once, so the fill is O(n^2) overall.
+    Takes the edges in sorted() order, by (weight, i, j), and yields
+    (weight, side_a, side_b) with the members of the two clusters each
+    edge joins. Every pair of points is split across exactly one merge,
+    at its minimax weight along the tree.
     """
-    zero = Fraction(0)
-    rho = [[zero] * n for _ in range(n)]
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    members = {i: [i] for i in range(n)}
     ds = DisjointSet(n)
-    for w, i, j in sorted(mst_edges, key=lambda e: (e[0], e[1], e[2])):
+    for w, i, j in sorted(mst_edges):
         ra, rb = ds.find(i), ds.find(j)
         if ra == rb:
             continue
-        side_a, side_b = members[ra], members[rb]
+        side_a, side_b = members.pop(ra), members.pop(rb)
+        ds.union(ra, rb)
+        members[ds.find(ra)] = side_a + side_b
+        yield w, side_a, side_b
+
+
+def bottleneck_matrix(n: int, mst_edges) -> list[list[Fraction]]:
+    """All-pairs minimax edge weight along the tree, as a full matrix;
+    each pair is filled once, at its merge, so O(n^2) overall."""
+    zero = Fraction(0)
+    rho = [[zero] * n for _ in range(n)]
+    for w, side_a, side_b in merges(n, mst_edges):
         for a in side_a:
             row = rho[a]
             for b in side_b:
                 row[b] = w
                 rho[b][a] = w
-        ds.union(ra, rb)
-        root = ds.find(ra)
-        merged = side_a + side_b
-        members.pop(ra, None)
-        members.pop(rb, None)
-        members[root] = merged
     return rho
 
 

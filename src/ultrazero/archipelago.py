@@ -91,10 +91,10 @@ def build_archipelago(
 ) -> Archipelago:
     """Assemble islands per the plan over the allowed size set.
 
-    Plan entries are (size, diameter) with size in the allowed set
-    (SizeNotInLambda otherwise, 1-based index) and diameter >= size
-    (DiameterTooSmall otherwise). Separations are the running diameter
-    sums, plus one in strict mode.
+    Plan entries are (size, diameter) with an integer size (MalformedInput
+    otherwise) in the allowed set (SizeNotInLambda otherwise, 1-based
+    index) and diameter >= size (DiameterTooSmall otherwise). Separations
+    are the running diameter sums, plus one in strict mode.
     """
     sizes = set()
     for s in allowed_sizes:
@@ -109,6 +109,8 @@ def build_archipelago(
     specs: list[IslandSpec] = []
     running = 0
     for pos, (n_i, m_i) in enumerate(plan, start=1):
+        if not isinstance(n_i, int) or isinstance(n_i, bool):
+            raise fail("MalformedInput", f"island {pos}: size {n_i!r} is not an integer")
         if n_i not in sizes:
             raise fail(
                 "SizeNotInLambda",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .archipelago import ball_audit, build_archipelago, fingerprint_compare, island_profile
@@ -27,13 +26,8 @@ from .groups import (
     protasov_equivalent,
     sylow_number,
 )
-from .lomega import embed_3n_valued, mu
-from .metric_core import (
-    FiniteMetricSpace,
-    PointedSpace,
-    is_ultrametric,
-    quantize_3adic,
-)
+from .lomega import embed_3n_valued, embed_universal
+from .metric_core import FiniteMetricSpace, PointedSpace, is_ultrametric, quantize_3adic
 from .rational import as_fraction, rational_str
 from .retract import lipschitz_retraction
 from .scale_analysis import (
@@ -158,35 +152,12 @@ def cmd_embed_lomega(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_embed_universal(args) -> tuple[int, dict, list[str]]:
-    space = _load_space(args.space)
-    sub = subdominant_ultrametric(space)
-    cert = dim0_certificate(space)
-    factor = 2 * cert.m
-    scaled = FiniteMetricSpace(
-        sub.rho.labels,
-        tuple(tuple(v * factor for v in row) for row in sub.rho.dist),
-    )
-    emb = embed_3n_valued(quantize_3adic(scaled))
-    lo = hi = Fraction(1)
-    first = True
-    for i, j in space.pairs():
-        ratio = mu(emb.images[i], emb.images[j]).as_fraction() / space.dist[i][j]
-        lo, hi = (ratio, ratio) if first else (min(lo, ratio), max(hi, ratio))
-        first = False
-    bound = 6 * cert.m
-    ok = lo >= 1 and hi <= bound
-    doc = jsonio.embedding_to_json(emb)
-    doc["mode"] = "universal"
-    doc["certificate_m"] = rational_str(cert.m)
-    doc["bound"] = rational_str(bound)
-    doc["min_ratio"] = rational_str(lo)
-    doc["max_ratio"] = rational_str(hi)
-    doc["pass"] = ok
+    emb = embed_universal(_load_space(args.space))
     line = (
-        f"distortion window [{rational_str(lo)}, {rational_str(hi)}] against "
-        f"allowance [1, {rational_str(bound)}]: {'pass' if ok else 'FAIL'}"
+        f"distortion window [{rational_str(emb.min_ratio)}, {rational_str(emb.max_ratio)}] "
+        f"against allowance [1, {rational_str(emb.bound)}]: {'pass' if emb.passed else 'FAIL'}"
     )
-    return (0 if ok else 1), doc, [line]
+    return (0 if emb.passed else 1), jsonio.universal_to_json(emb), [line]
 
 
 def cmd_retract(args) -> tuple[int, dict, list[str]]:
@@ -194,7 +165,10 @@ def cmd_retract(args) -> tuple[int, dict, list[str]]:
     pointed = jsonio.pointed_from_json(doc_in)
     if args.base is not None:
         pointed = PointedSpace(pointed.space, pointed.space.index(args.base))
-    subset = [part.strip() for part in args.subset.split(",") if part.strip()]
+    # a part that is a label is taken as it is, any other part stripped
+    labels = set(pointed.space.labels)
+    parts = [p if p in labels else p.strip() for p in args.subset.split(",")]
+    subset = [p for p in parts if p or p in labels]
     delta = as_fraction(args.delta) if args.delta is not None else None
     rm = lipschitz_retraction(pointed, subset, as_fraction(args.lam), delta)
     doc = jsonio.retraction_to_json(rm)
@@ -357,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     def conf_retract(p):
         p.add_argument("space")
         p.add_argument("--base", default=None)
-        p.add_argument("--subset", required=True, help="comma separated labels")
+        p.add_argument("--subset", required=True,
+                       help="comma separated labels; a label containing a comma cannot be named")
         p.add_argument("--lambda", dest="lam", required=True)
         p.add_argument("--delta", default=None)
 

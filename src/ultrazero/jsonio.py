@@ -24,7 +24,7 @@ from .archipelago import (
 )
 from .errors import UltrazeroError, fail
 from .groups import CyclicSumSpec, GroupElement, GroupEmbedding, M0Report, ProtasovReport, SylowNumber
-from .lomega import LOmegaEmbedding
+from .lomega import LOmegaEmbedding, UniversalEmbedding
 from .metric_core import FiniteMetricSpace, PointedSpace, UltraWitness, validate_metric
 from .rational import as_fraction, rational_str
 from .retract import RetractionMap
@@ -233,6 +233,18 @@ def embedding_to_json(emb: LOmegaEmbedding) -> dict:
     }
 
 
+def universal_to_json(u: UniversalEmbedding) -> dict:
+    return {
+        **embedding_to_json(u.inner),
+        "mode": "universal",
+        "certificate_m": rational_str(u.m),
+        "bound": rational_str(u.bound),
+        "min_ratio": rational_str(u.min_ratio),
+        "max_ratio": rational_str(u.max_ratio),
+        "pass": u.passed,
+    }
+
+
 # --------------------------------------------------------------- retract
 
 def retraction_to_json(rm: RetractionMap) -> dict:
@@ -384,7 +396,9 @@ def archipelago_from_json(doc: Any) -> Archipelago:
 def plan_from_json(doc: Any) -> tuple[list[int], list[tuple[int, int]], bool]:
     allowed = _need(doc, "lambda", list, "plan")
     raw_plan = _need(doc, "plan", list, "plan")
-    strict = bool(doc.get("strict", False)) if isinstance(doc, dict) else False
+    strict = doc.get("strict", False)
+    if not isinstance(strict, bool):
+        raise fail("MalformedInput", f"plan 'strict' must be true or false, got {strict!r}")
     plan = []
     for row in raw_plan:
         if not isinstance(row, list) or len(row) != 2:

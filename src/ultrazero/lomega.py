@@ -11,15 +11,18 @@ up to powers of three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import fail
-from .metric_core import FiniteMetricSpace, is_ultrametric
+from .metric_core import FiniteMetricSpace, require_ultrametric
 from .rational import as_fraction, exact_power_of_three, rational_str
+from .scale_analysis import dim0_certificate, subdominant_ultrametric
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class ThreePower:
     """The value 3**exponent, or 0 when exponent is None.
@@ -31,21 +34,11 @@ class ThreePower:
 
     exponent: int | None
 
+    def _key(self) -> tuple[bool, int]:
+        return (self.exponent is not None, self.exponent or 0)
+
     def __lt__(self, other: "ThreePower") -> bool:
-        if self.exponent is None:
-            return other.exponent is not None
-        if other.exponent is None:
-            return False
-        return self.exponent < other.exponent
-
-    def __le__(self, other: "ThreePower") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "ThreePower") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ThreePower") -> bool:
-        return other <= self
+        return self._key() < other._key()
 
     @property
     def is_zero(self) -> bool:
@@ -206,15 +199,17 @@ class LOmegaEmbedding:
     max_ratio: Fraction
 
 
-def _require_ultrametric(space: FiniteMetricSpace) -> None:
-    w = is_ultrametric(space)
-    if not w.verdict:
-        raise fail(
-            "NotUltrametric",
-            f"triangle at indices {w.triangle} has sides "
-            f"{tuple(rational_str(s) for s in w.sides)}",
-            *w.triangle,
-        )
+def _ratio_window(space: FiniteMetricSpace, images: Sequence[LOmegaPoint]):
+    """Smallest and largest ratio of image distance over space distance
+    across all pairs, as (lo, hi); (1, 1) below two points."""
+    ratios = (mu(images[i], images[j]).as_fraction() / space.dist[i][j] for i, j in space.pairs())
+    lo = hi = next(ratios, Fraction(1))
+    for ratio in ratios:
+        if ratio < lo:
+            lo = ratio
+        elif ratio > hi:
+            hi = ratio
+    return lo, hi
 
 
 def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:
@@ -223,7 +218,7 @@ def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:
     Points are inserted in input order, each by the one-point extension;
     all pairwise distances are re-verified exactly before returning.
     """
-    _require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     exp = [[0] * n for _ in range(n)]
     cache: dict[Fraction, int] = {}
@@ -238,15 +233,11 @@ def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:
     images = [LOmegaPoint.zero()] if n else []
     for i in range(1, n):
         images.append(_extend(images, exp[i][:i]))
-    checked = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = mu(images[i], images[j])
-            if got.exponent != exp[i][j]:
-                raise AssertionError("isometry audit failed")
-            checked += 1
+    for i, j in space.pairs():
+        if mu(images[i], images[j]).exponent != exp[i][j]:
+            raise AssertionError("isometry audit failed")
     one = Fraction(1)
-    return LOmegaEmbedding(space, tuple(images), "isometric", checked, one, one)
+    return LOmegaEmbedding(space, tuple(images), "isometric", n * (n - 1) // 2, one, one)
 
 
 def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
@@ -258,23 +249,47 @@ def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
     """
     from .metric_core import quantize_3adic
 
-    _require_ultrametric(space)
+    require_ultrametric(space)
     rounded = quantize_3adic(space)
     inner = embed_3n_valued(rounded)
-    n = space.n
-    lo = hi = Fraction(1)
-    checked = 0
-    first = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = mu(inner.images[i], inner.images[j]).as_fraction() / space.dist[i][j]
-            if not 1 <= ratio < 3:
-                raise AssertionError("quantized embedding left the [1,3) window")
-            if first:
-                lo = hi = ratio
-                first = False
-            else:
-                lo = min(lo, ratio)
-                hi = max(hi, ratio)
-            checked += 1
-    return LOmegaEmbedding(space, inner.images, "quantized", checked, lo, hi)
+    lo, hi = _ratio_window(space, inner.images)
+    if not (1 <= lo and hi < 3):
+        raise AssertionError("quantized embedding left the [1,3) window")
+    return LOmegaEmbedding(space, inner.images, "quantized", inner.checked_pairs, lo, hi)
+
+
+@dataclass(frozen=True)
+class UniversalEmbedding:
+    """An embedding of any finite metric space, audited against 6m.
+
+    ``inner`` is the isometric embedding of the quantized chain-infimum
+    ultrametric scaled by 2m, with m the certificate's constant; the
+    ratios compare its distances with the source's, and ``passed`` says
+    they lie in [1, bound], bound = 6m.
+    """
+
+    inner: LOmegaEmbedding
+    m: Fraction
+    bound: Fraction
+    min_ratio: Fraction
+    max_ratio: Fraction
+    passed: bool
+
+
+def embed_universal(space: FiniteMetricSpace) -> UniversalEmbedding:
+    """Embed any finite metric space into the symbol-sequence space.
+
+    Since d/(2m) <= rho <= d for the chain-infimum ultrametric rho, the
+    scaled 2m * rho lies in [d, 2m d], and rounding it up to powers of
+    three keeps it ultrametric and stays below 3 times that.
+    """
+    from .metric_core import quantize_3adic
+
+    sub = subdominant_ultrametric(space)
+    cert = dim0_certificate(space)
+    factor = 2 * cert.m
+    scaled = tuple(tuple(v * factor for v in row) for row in sub.rho.dist)
+    inner = embed_3n_valued(quantize_3adic(FiniteMetricSpace(space.labels, scaled)))
+    lo, hi = _ratio_window(space, inner.images)
+    bound = 6 * cert.m
+    return UniversalEmbedding(inner, cert.m, bound, lo, hi, lo >= 1 and hi <= bound)

@@ -283,6 +283,16 @@ def is_ultrametric(space: FiniteMetricSpace) -> UltraWitness:
     return _witness_by_linkage(space)
 
 
+def require_ultrametric(space: FiniteMetricSpace,
+                        text: str = "triangle at indices {} has sides {}") -> None:
+    """Raise NotUltrametric unless the space is ultrametric; text is the
+    message template, given the triangle's indices and its side values."""
+    w = is_ultrametric(space)
+    if not w.verdict:
+        sides = tuple(rational_str(s) for s in w.sides)
+        raise fail("NotUltrametric", text.format(w.triangle, sides), *w.triangle)
+
+
 @dataclass(frozen=True)
 class Gauge:
     """Piecewise-linear map on distances, anchored at (0, 0).
@@ -399,14 +409,7 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     rounding t -> 3^ceil(log_3 t) is nondecreasing, so it carries
     d(x,z) <= max(d(x,y), d(y,z)) over to the rounded values.
     """
-    w = is_ultrametric(space)
-    if not w.verdict:
-        raise fail(
-            "NotUltrametric",
-            f"violating triangle at indices {w.triangle} with sides "
-            f"{tuple(rational_str(s) for s in w.sides)}",
-            *w.triangle,
-        )
+    require_ultrametric(space, "violating triangle at indices {} with sides {}")
     n = space.n
     cache: dict[Fraction, Fraction] = {}
     rows = [[Fraction(0)] * n for _ in range(n)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import fail
-from .metric_core import FiniteMetricSpace, PointedSpace, is_ultrametric
+from .metric_core import FiniteMetricSpace, PointedSpace, require_ultrametric
 from .rational import as_fraction, rational_str
 
 
@@ -142,14 +142,7 @@ def lipschitz_retraction(
             f"need 1 < delta with delta^2 < lambda, got delta = {rational_str(delta)}",
         )
     members = _resolve_subset(space, subset)
-    w = is_ultrametric(space)
-    if not w.verdict:
-        raise fail(
-            "NotUltrametric",
-            f"triangle at indices {w.triangle} has sides "
-            f"{tuple(rational_str(s) for s in w.sides)}",
-            *w.triangle,
-        )
+    require_ultrametric(space)
     order = annulus_order(pointed)
     assignment = list(range(space.n))
     sub = sorted(members)

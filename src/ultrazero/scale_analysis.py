@@ -99,16 +99,16 @@ def s_components(space: FiniteMetricSpace, scale) -> Partition:
         raise fail("BadParameters", f"scale must be nonnegative, got {s}")
     n = space.n
     ds = _linkage.DisjointSet(n)
-    for i in range(n):
-        row = space.dist[i]
-        for j in range(i + 1, n):
-            if row[j] <= s:
-                ds.union(i, j)
+    # a chain of steps <= s between two points has a minimax path of
+    # edges <= s inside the spanning tree, so cutting the tree suffices
+    for w, i, j in _linkage.prim_mst(space.dist):
+        if w <= s:
+            ds.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(ds.find(i), []).append(i)
-    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
-    return Partition(s, tuple(blocks))
+    # filled in index order: blocks come sorted, and in order of their first point
+    return Partition(s, tuple(map(tuple, groups.values())))
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> SubdominantResult:
@@ -120,7 +120,7 @@ def subdominant_ultrametric(space: FiniteMetricSpace) -> SubdominantResult:
     mst = _linkage.prim_mst(space.dist)
     rho_rows = _linkage.bottleneck_matrix(space.n, mst)
     rho = FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rho_rows))
-    edges = tuple(sorted(mst, key=lambda e: (e[0], e[1], e[2])))
+    edges = tuple(sorted(mst))
     return SubdominantResult(rho, edges)
 
 
@@ -191,32 +191,19 @@ def dim0_certificate(space: FiniteMetricSpace) -> Dim0Certificate:
     if n < 2:
         return Dim0Certificate(Fraction(1), ())
     dist = space.dist
-    mst = sorted(_linkage.prim_mst(dist), key=lambda e: (e[0], e[1], e[2]))
-    scales = space.distinct_distances()
-    ds = _linkage.DisjointSet(n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    sweep = _linkage.merges(n, _linkage.prim_mst(dist))
+    merge = next(sweep, None)
     max_diam = Fraction(0)
     table: list[tuple[Fraction, Fraction]] = []
-    edge_pos = 0
-    for s in scales:
-        while edge_pos < len(mst) and mst[edge_pos][0] <= s:
-            _, i, j = mst[edge_pos]
-            edge_pos += 1
-            ra, rb = ds.find(i), ds.find(j)
-            if ra == rb:
-                continue
-            side_a, side_b = members[ra], members[rb]
+    for s in space.distinct_distances():
+        while merge is not None and merge[0] <= s:
+            _, side_a, side_b = merge
             for a in side_a:
                 row = dist[a]
                 for b in side_b:
                     if row[b] > max_diam:
                         max_diam = row[b]
-            ds.union(ra, rb)
-            root = ds.find(ra)
-            merged = side_a + side_b
-            members.pop(ra, None)
-            members.pop(rb, None)
-            members[root] = merged
+            merge = next(sweep, None)
         table.append((s, max_diam))
     m = max(d / s for s, d in table)
     return Dim0Certificate(m, tuple(table))

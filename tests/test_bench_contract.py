@@ -3,16 +3,24 @@
 ``bench/spans.py`` wraps every function named in its ``LAYERS`` table at
 its ``ultrazero`` module, and ``bench/design.json`` lists the layers that
 each workload must (``zero_call_guard``) or must not (``must_not_call``)
-reach. A missing name makes the traced run fail, so this test reads both
-files, changes neither, and fails first.
+reach. A missing name makes the traced run fail, so these tests read both
+files, change neither, and fail first. The smoke test runs each workload
+traced, briefly, from a copy of ``bench/`` beside the package source.
 """
 
 import importlib
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _layers() -> dict:
@@ -39,3 +47,22 @@ def test_guarded_layers_are_wrapped():
         for workload, names in design[section].items():
             missing = sorted(set(names) - set(layers))
             assert not missing, f"{section}[{workload}] names unwrapped layers {missing}"
+
+
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """bench/ copied next to a link to src/, so a run writes only in the copy."""
+    root = tmp_path_factory.mktemp("bench_root")
+    shutil.copytree(BENCH, root / "bench", ignore=shutil.ignore_patterns("_run", "__pycache__"))
+    (root / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    return root / "bench"
+
+
+@pytest.mark.parametrize("workload", ["cli_accept", "cli_reject", "lib_analysis", "groups_islands"])
+def test_traced_run_is_correct(bench_copy, workload):
+    argv = [sys.executable, str(bench_copy / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "0.5", "--trace", "1"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

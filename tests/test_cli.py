@@ -260,6 +260,19 @@ class TestRetract:
         assert code == 1
         assert out.startswith("NotUltrametric:")
 
+    def test_subset_names_labels_with_edge_whitespace(self, doc, capsys):
+        payload = dict(TRIPOD, labels=["tab\tnl\n", " q", "r"])
+        argv = ["retract", doc(payload), "--subset", "tab\tnl\n, q", "--lambda", "2"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["subset"] == ["tab\tnl\n", " q"]
+
+    def test_subset_parts_are_stripped_when_no_label_matches(self, doc, capsys):
+        argv = ["retract", doc(TRIPOD), "--subset", " q , r\t,", "--lambda", "2"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["subset"] == ["q", "r"]
+
 
 class TestGroupCommands:
     def test_dist_length_gap(self, doc, capsys):
@@ -387,6 +400,28 @@ class TestArchipelagoCommands:
             {"size": 2, "diameter": 2, "separation": 3, "points": ["x1.1", "x1.2"]},
             {"size": 2, "diameter": 3, "separation": 6, "points": ["x2.1", "x2.2"]},
         ]
+
+    @pytest.mark.parametrize("size", [[2], {"n": 2}, 2.0, "2", True])
+    def test_build_rejects_a_non_integer_size(self, doc, capsys, size):
+        plan = {"lambda": [2, 3], "plan": [[size, 2]]}
+        code, report = run_json(capsys, ["archipelago-build", doc(plan)])
+        assert code == 2
+        assert report["error"] == "MalformedInput"
+        assert "island 1: size" in report["message"]
+
+    @pytest.mark.parametrize("strict", ["false", 0, 1, None])
+    def test_build_rejects_a_non_boolean_strict(self, doc, capsys, strict):
+        plan = dict(PLAN2, strict=strict)
+        code, report = run_json(capsys, ["archipelago-build", doc(plan)])
+        assert code == 2
+        assert report["error"] == "MalformedInput"
+        assert "'strict'" in report["message"]
+
+    def test_build_without_strict_is_not_strict(self, doc, capsys):
+        plan = {"lambda": [2], "plan": [[2, 2], [2, 3]]}
+        code, out = run_human(capsys, ["archipelago-build", doc(plan)])
+        assert code == 0
+        assert out == "2 island(s), 5 point(s); separations 2, 5\n"
 
     def test_profile_round_trip(self, doc, capsys, tmp_path):
         built = tmp_path / "arch.json"

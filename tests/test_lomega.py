@@ -11,6 +11,7 @@ from ultrazero import (
     UltrazeroError,
     embed_3n_valued,
     embed_ultrametric,
+    embed_universal,
     extend_one_point,
     first_difference,
     is_ultrametric,
@@ -249,6 +250,35 @@ class TestEmbedUltrametric:
         line = validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with err("NotUltrametric"):
             embed_ultrametric(line)
+
+
+class TestEmbedUniversal:
+    def test_single_point(self):
+        emb = embed_universal(validate_metric(["a"], [[0]]))
+        assert emb.inner.images == (ZERO_PT,)
+        assert (emb.m, emb.bound, emb.min_ratio, emb.max_ratio) == (1, 6, 1, 1)
+        assert emb.passed
+
+    def test_two_points(self):
+        # 2m * d = 2 rounds up to 3, three times the source distance
+        emb = embed_universal(validate_metric("ab", [[0, 1], [1, 0]]))
+        assert emb.inner.mode == "isometric"
+        assert mu(*emb.inner.images) == ThreePower(1)
+        assert (emb.m, emb.bound, emb.min_ratio, emb.max_ratio) == (1, 6, 3, 3)
+        assert emb.passed
+
+    def test_window_inside_six_m_on_random_spaces(self, make_rng):
+        rng = make_rng(308)
+        for make in (gen.random_metric, gen.all_distinct_metric, gen.random_ultrametric):
+            for _ in range(8):
+                s = make(rng, rng.randint(2, 24))
+                emb = embed_universal(s)
+                assert emb.bound == 6 * emb.m
+                assert 1 <= emb.min_ratio <= emb.max_ratio <= emb.bound
+                assert emb.passed
+                ratios = [mu(emb.inner.images[i], emb.inner.images[j]).as_fraction() / s.d(i, j)
+                          for i, j in s.pairs()]
+                assert (min(ratios), max(ratios)) == (emb.min_ratio, emb.max_ratio)
 
 
 class TestAuditsSurviveOptimizedMode:
