@@ -8,7 +8,7 @@ edges once spaces get into the hundreds of points.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 
@@ -41,6 +41,14 @@ def lattice(values: Iterable[Fraction], scale: int | None) -> list:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def lattice_rows(rows: Sequence[Sequence[Fraction]]) -> Sequence[Sequence]:
+    """rows on the integer lattice; rows itself past its bit bound."""
+    scale = lattice_scale(chain.from_iterable(rows))
+    if scale is None:
+        return rows
+    return [lattice(row, scale) for row in rows]
+
+
 class DisjointSet:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -65,19 +73,18 @@ class DisjointSet:
         return True
 
 
-def prim_mst(dist) -> list[tuple[Fraction, int, int]]:
+def prim_mst(dist, scale: int | None) -> list[tuple[Fraction, int, int]]:
     """Minimum spanning tree edges of a complete graph given as a matrix.
 
     Deterministic: ties go to the smallest candidate index. Returns
     (weight, i, j) with i the tree endpoint discovered earlier, and the
-    weight dist[i][j]. Comparisons run on the integer lattice; each row is
-    converted once, when its vertex joins the tree, and only at the
-    vertices still outside it.
+    weight dist[i][j]. Comparisons run on the lattice of scale, the
+    matrix's lattice_scale; each row is converted once, when its vertex
+    joins the tree, and only at the vertices still outside it.
     """
     n = len(dist)
     if n <= 1:
         return []
-    scale = lattice_scale(chain.from_iterable(dist))
     rest = list(range(1, n))  # outside the tree, in index order
     best = lattice(dist[0][1:], scale)
     best_from = [0] * (n - 1)
@@ -95,17 +102,32 @@ def prim_mst(dist) -> list[tuple[Fraction, int, int]]:
     return edges
 
 
+def spanning_tree(dist) -> tuple[int | None, list[tuple[Fraction, int, int]]]:
+    """The matrix's lattice scale and its minimum spanning tree, the one
+    tree every scale and ultrametric computation reads.
+
+    The edges come in sorted() order, by (weight, i, j), sorted once on
+    the lattice; the scale puts the matrix's values on it for the callers.
+    """
+    # a symmetric matrix with a zero diagonal: the row tails hold every value
+    scale = lattice_scale(chain.from_iterable(row[i + 1:] for i, row in enumerate(dist)))
+    edges = prim_mst(dist, scale)
+    heights = lattice((w for w, _, _ in edges), scale)
+    order = sorted((h, i, j) for h, (_, i, j) in zip(heights, edges))
+    return scale, [(dist[i][j], i, j) for _, i, j in order]
+
+
 def merges(n: int, mst_edges) -> Iterator[tuple[Fraction, list[int], list[int]]]:
     """Single-linkage merges along a spanning tree of the points 0..n-1.
 
-    Takes the edges in sorted() order, by (weight, i, j), and yields
-    (weight, side_a, side_b) with the members of the two clusters each
-    edge joins. Every pair of points is split across exactly one merge,
-    at its minimax weight along the tree.
+    Takes the edges in sorted() order, by (weight, i, j), as spanning_tree
+    gives them, and yields (weight, side_a, side_b) with the members of
+    the two clusters each edge joins. Every pair of points is split across
+    exactly one merge, at its minimax weight along the tree.
     """
     members = {i: [i] for i in range(n)}
     ds = DisjointSet(n)
-    for w, i, j in sorted(mst_edges):
+    for w, i, j in mst_edges:
         ra, rb = ds.find(i), ds.find(j)
         if ra == rb:
             continue
@@ -115,7 +137,7 @@ def merges(n: int, mst_edges) -> Iterator[tuple[Fraction, list[int], list[int]]]
         yield w, side_a, side_b
 
 
-def bottleneck_matrix(n: int, mst_edges) -> list[list[Fraction]]:
+def bottleneck_matrix(n: int, mst_edges) -> list[list]:
     """All-pairs minimax edge weight along the tree, as a full matrix;
     each pair is filled once, at its merge, so O(n^2) overall."""
     zero = Fraction(0)
@@ -131,26 +153,18 @@ def bottleneck_matrix(n: int, mst_edges) -> list[list[Fraction]]:
 
 def tree_path(n: int, mst_edges, start: int, goal: int) -> list[int]:
     """Vertex path from start to goal inside the spanning tree."""
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    adj: list[list[int]] = [[] for _ in range(n)]
     for _, i, j in mst_edges:
         adj[i].append(j)
         adj[j].append(i)
     parent = {start: start}
-    queue = [start]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            if u == goal:
-                queue = []
-                break
-            for v in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        else:
-            queue = nxt
-            continue
-        break
+    stack = [start]
+    while goal not in parent:  # a tree has one path, so any search finds it
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                stack.append(v)
     path = [goal]
     while path[-1] != start:
         path.append(parent[path[-1]])

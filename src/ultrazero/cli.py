@@ -31,21 +31,15 @@ from .metric_core import FiniteMetricSpace, PointedSpace, is_ultrametric, quanti
 from .rational import as_fraction, rational_str
 from .retract import lipschitz_retraction
 from .scale_analysis import (
+    certify,
     dim0_certificate,
     s_components,
     subdominant_ultrametric,
     verify_scale_bounds,
 )
 
-_AXIOM_CODES = frozenset(
-    {
-        "DuplicateLabel",
-        "NonZeroDiagonal",
-        "NonSymmetric",
-        "NegativeOrZeroOffDiagonal",
-        "TriangleViolation",
-    }
-)
+_AXIOM_CODES = frozenset({"DuplicateLabel", "NonZeroDiagonal", "NonSymmetric",
+                          "NegativeOrZeroOffDiagonal", "TriangleViolation"})
 
 # codes that mean "the data is well formed but the checked property fails"
 _PROPERTY_CODES_BY_COMMAND = {
@@ -74,11 +68,7 @@ def cmd_validate(args) -> tuple[int, dict, list[str]]:
         if exc.code in _AXIOM_CODES:
             return 1, jsonio.error_to_json(exc), _error_lines(exc)
         raise
-    return (
-        0,
-        {"valid": True, "points": space.n},
-        [f"valid metric space with {space.n} points"],
-    )
+    return 0, {"valid": True, "points": space.n}, [f"valid metric space with {space.n} points"]
 
 
 def cmd_ultra_check(args) -> tuple[int, dict, list[str]]:
@@ -123,9 +113,7 @@ def cmd_dim0_cert(args) -> tuple[int, dict, list[str]]:
 
 def cmd_verify_bounds(args) -> tuple[int, dict, list[str]]:
     space = _load_space(args.space)
-    sub = subdominant_ultrametric(space)
-    cert = dim0_certificate(space)
-    report = verify_scale_bounds(space, sub, cert)
+    report = verify_scale_bounds(space, *certify(space))
     doc = jsonio.bounds_to_json(report)
     pairs = space.n * (space.n - 1) // 2
     if report.passed:
@@ -313,20 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("validate", cmd_validate, lambda p: p.add_argument("space"))
-    add("ultra-check", cmd_ultra_check, lambda p: p.add_argument("space"))
+    def positional(*names):
+        def configure(p):
+            for name in names:
+                p.add_argument(name)
+        return configure
+
+    add("validate", cmd_validate, positional("space"))
+    add("ultra-check", cmd_ultra_check, positional("space"))
 
     def conf_components(p):
         p.add_argument("space")
         p.add_argument("--scale", required=True)
 
     add("components", cmd_components, conf_components)
-    add("subdominant", cmd_subdominant, lambda p: p.add_argument("space"))
-    add("dim0-cert", cmd_dim0_cert, lambda p: p.add_argument("space"))
-    add("verify-bounds", cmd_verify_bounds, lambda p: p.add_argument("space"))
-    add("quantize", cmd_quantize, lambda p: p.add_argument("space"))
-    add("embed-lomega", cmd_embed_lomega, lambda p: p.add_argument("space"))
-    add("embed-universal", cmd_embed_universal, lambda p: p.add_argument("space"))
+    add("subdominant", cmd_subdominant, positional("space"))
+    add("dim0-cert", cmd_dim0_cert, positional("space"))
+    add("verify-bounds", cmd_verify_bounds, positional("space"))
+    add("quantize", cmd_quantize, positional("space"))
+    add("embed-lomega", cmd_embed_lomega, positional("space"))
+    add("embed-universal", cmd_embed_universal, positional("space"))
 
     def conf_retract(p):
         p.add_argument("space")
@@ -338,12 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("retract", cmd_retract, conf_retract)
 
-    def conf_group_dist(p):
-        p.add_argument("spec")
-        p.add_argument("p")
-        p.add_argument("q")
-
-    add("group-dist", cmd_group_dist, conf_group_dist)
+    add("group-dist", cmd_group_dist, positional("spec", "p", "q"))
 
     def conf_group_ball(p):
         p.add_argument("spec")
@@ -364,39 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("sylow", cmd_sylow, conf_sylow)
 
-    def conf_protasov(p):
-        p.add_argument("left")
-        p.add_argument("right")
-
-    add("protasov", cmd_protasov, conf_protasov)
-
-    def conf_m0_encode(p):
-        p.add_argument("spec")
-        p.add_argument("element")
-
-    add("m0-encode", cmd_m0_encode, conf_m0_encode)
+    add("protasov", cmd_protasov, positional("left", "right"))
+    add("m0-encode", cmd_m0_encode, positional("spec", "element"))
     add(
         "m0-check",
         cmd_m0_check,
         lambda p: p.add_argument("--max-len", dest="max_len", type=int, default=7),
     )
-    add("archipelago-build", cmd_archipelago_build, lambda p: p.add_argument("plan"))
-    add("archipelago-profile", cmd_archipelago_profile, lambda p: p.add_argument("space"))
-
-    def conf_compare(p):
-        p.add_argument("left")
-        p.add_argument("right")
-
-    add("archipelago-compare", cmd_archipelago_compare, conf_compare)
+    add("archipelago-build", cmd_archipelago_build, positional("plan"))
+    add("archipelago-profile", cmd_archipelago_profile, positional("space"))
+    add("archipelago-compare", cmd_archipelago_compare, positional("left", "right"))
 
     def conf_ball_audit(p):
         p.add_argument("space")
-        p.add_argument(
-            "--sample",
-            action="append",
-            required=True,
-            help="CENTER:RADIUS, repeatable",
-        )
+        p.add_argument("--sample", action="append", required=True,
+                       help="CENTER:RADIUS, repeatable")
 
     add("ball-audit", cmd_ball_audit, conf_ball_audit)
     return parser

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import fail
-from .metric_core import FiniteMetricSpace, require_ultrametric
+from .metric_core import FiniteMetricSpace, _map_pairs, _quantize, require_ultrametric
 from .rational import as_fraction, exact_power_of_three, rational_str
-from .scale_analysis import dim0_certificate, subdominant_ultrametric
+from .scale_analysis import certify
 
 
 @functools.total_ordering
@@ -219,17 +219,13 @@ def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:
     all pairwise distances are re-verified exactly before returning.
     """
     require_ultrametric(space)
-    n = space.n
-    exp = [[0] * n for _ in range(n)]
-    cache: dict[Fraction, int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = space.dist[i][j]
-            e = cache.get(d)
-            if e is None:
-                e = _dist_exponent(d, f"d({space.labels[i]},{space.labels[j]})")
-                cache[d] = e
-            exp[i][j] = exp[j][i] = e
+    return _embed_isometric(space)
+
+
+def _embed_isometric(space: FiniteMetricSpace) -> LOmegaEmbedding:
+    """embed_3n_valued on a space known to be ultrametric."""
+    labs, n = space.labels, space.n
+    exp = _map_pairs(space, lambda d, i, j: _dist_exponent(d, f"d({labs[i]},{labs[j]})"))
     images = [LOmegaPoint.zero()] if n else []
     for i in range(1, n):
         images.append(_extend(images, exp[i][:i]))
@@ -250,8 +246,7 @@ def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
     from .metric_core import quantize_3adic
 
     require_ultrametric(space)
-    rounded = quantize_3adic(space)
-    inner = embed_3n_valued(rounded)
+    inner = _embed_isometric(quantize_3adic(space))
     lo, hi = _ratio_window(space, inner.images)
     if not (1 <= lo and hi < 3):
         raise AssertionError("quantized embedding left the [1,3) window")
@@ -281,15 +276,13 @@ def embed_universal(space: FiniteMetricSpace) -> UniversalEmbedding:
 
     Since d/(2m) <= rho <= d for the chain-infimum ultrametric rho, the
     scaled 2m * rho lies in [d, 2m d], and rounding it up to powers of
-    three keeps it ultrametric and stays below 3 times that.
+    three keeps it ultrametric and stays below 3 times that. So neither
+    step rechecks ultrametricity.
     """
-    from .metric_core import quantize_3adic
-
-    sub = subdominant_ultrametric(space)
-    cert = dim0_certificate(space)
+    sub, cert = certify(space)
     factor = 2 * cert.m
     scaled = tuple(tuple(v * factor for v in row) for row in sub.rho.dist)
-    inner = embed_3n_valued(quantize_3adic(FiniteMetricSpace(space.labels, scaled)))
+    inner = _embed_isometric(_quantize(FiniteMetricSpace(space.labels, scaled)))
     lo, hi = _ratio_window(space, inner.images)
     bound = 6 * cert.m
     return UniversalEmbedding(inner, cert.m, bound, lo, hi, lo >= 1 and hi <= bound)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import add, ne, sub
 
 from . import _linkage
@@ -47,13 +47,7 @@ class FiniteMetricSpace:
             raise fail("MalformedInput", f"no point labeled {label!r}") from None
 
     def diameter(self) -> Fraction:
-        best = Fraction(0)
-        for i in range(self.n):
-            row = self.dist[i]
-            for j in range(i + 1, self.n):
-                if row[j] > best:
-                    best = row[j]
-        return best
+        return max(map(max, self.dist))  # each row holds its 0 on the diagonal
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -109,14 +103,6 @@ class UltraWitness:
 # passes over two row tails; only the first failing pair is walked in
 # Python to find its k. So the reported triple is the lexicographically
 # first failing (i, j, k).
-
-
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> Sequence[Sequence]:
-    """rows on the integer lattice; rows itself past its bit bound."""
-    scale = _linkage.lattice_scale(chain.from_iterable(rows))
-    if scale is None:
-        return rows
-    return [_linkage.lattice(row, scale) for row in rows]
 
 
 def _metric_pair_ok(dij, xs: Sequence, ys: Sequence) -> bool:
@@ -208,7 +194,7 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
     # a row passes both checks at C level, on the lattice the triangle scan
     # uses; only the first failing row is walked pair by pair, so the
     # witness is still the first failing (i, j)
-    ints = _int_rows(rows)
+    ints = _linkage.lattice_rows(rows)
     cols = list(zip(*ints))
     for i in range(n):
         tail = tuple(ints[i][i + 1:])
@@ -233,7 +219,7 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
 
 def _witness_by_scan(space: FiniteMetricSpace) -> UltraWitness:
     dist = space.dist
-    bad = _first_bad_triple(_int_rows(dist), _ultra_pair_ok)
+    bad = _first_bad_triple(_linkage.lattice_rows(dist), _ultra_pair_ok)
     if bad is None:
         return UltraWitness(True)
     i, j, k = bad
@@ -252,20 +238,17 @@ def _witness_by_linkage(space: FiniteMetricSpace) -> UltraWitness:
     """
     dist = space.dist
     n = space.n
-    mst = _linkage.prim_mst(dist)
-    rho = _linkage.bottleneck_matrix(n, mst)
-    bad = None
-    for i in range(n):
-        row_d, row_r = dist[i], rho[i]
-        for j in range(i + 1, n):
-            if row_r[j] != row_d[j]:
-                bad = (i, j)
-                break
-        if bad:
+    scale, mst = _linkage.spanning_tree(dist)
+    # the minimax matrix on the lattice: the tree with its lattice heights
+    heights = _linkage.lattice((w for w, _, _ in mst), scale)
+    rho = _linkage.bottleneck_matrix(n, [(h, i, j) for h, (_, i, j) in zip(heights, mst)])
+    for x in range(n):
+        got, want = rho[x][x + 1:], _linkage.lattice(dist[x][x + 1:], scale)
+        if got != want:
+            z = x + 1 + list(map(ne, got, want)).index(True)
             break
-    if bad is None:
+    else:
         return UltraWitness(True)
-    x, z = bad
     path = _linkage.tree_path(n, mst, x, z)
     for step in range(len(path) - 2):
         y = path[step + 1]
@@ -291,6 +274,26 @@ def require_ultrametric(space: FiniteMetricSpace,
     if not w.verdict:
         sides = tuple(rational_str(s) for s in w.sides)
         raise fail("NotUltrametric", text.format(w.triangle, sides), *w.triangle)
+
+
+def _map_pairs(space: FiniteMetricSpace, f) -> list[list]:
+    """The matrix of f over the space's distances, 0 on the diagonal.
+
+    f(t, i, j) runs once per distinct distance t, at its first pair (i, j)
+    in row order, so an f that raises does so at the first failing pair.
+    """
+    n = space.n
+    memo: dict = {}
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(space.dist):
+        out = rows[i]
+        for j in range(i + 1, n):
+            t = row[j]
+            v = memo.get(t)
+            if v is None:
+                v = memo[t] = f(t, i, j)
+            out[j] = rows[j][i] = v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -376,28 +379,23 @@ def apply_gauge(space: FiniteMetricSpace, gauge: Gauge) -> FiniteMetricSpace:
     """
     if not gauge.is_nondecreasing():
         raise fail("GaugeNotMonotone", "gauge values decrease between breakpoints")
-    n = space.n
     labs = space.labels
-    cache: dict[Fraction, Fraction] = {}
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = space.dist[i][j]
-            v = cache.get(t)
-            if v is None:
-                v = gauge.evaluate(t)
-                cache[t] = v
-            if v <= 0:
-                raise fail(
-                    "GaugeNotPositive",
-                    f"gauge sends {rational_str(t)} to {rational_str(v)} "
-                    f"on ({labs[i]},{labs[j]})",
-                    i, j,
-                )
-            rows[i][j] = rows[j][i] = v
-    _require_triangles(labs, rows, _int_rows(rows), "ResultNotMetric", "gauged sides",
-                       " break the triangle inequality")
-    return FiniteMetricSpace(labs, tuple(tuple(r) for r in rows))
+
+    def gauged(t: Fraction, i: int, j: int) -> Fraction:
+        v = gauge.evaluate(t)
+        if v <= 0:
+            raise fail(
+                "GaugeNotPositive",
+                f"gauge sends {rational_str(t)} to {rational_str(v)} "
+                f"on ({labs[i]},{labs[j]})",
+                i, j,
+            )
+        return v
+
+    rows = _map_pairs(space, gauged)
+    _require_triangles(labs, rows, _linkage.lattice_rows(rows), "ResultNotMetric",
+                       "gauged sides", " break the triangle inequality")
+    return FiniteMetricSpace(labs, tuple(map(tuple, rows)))
 
 
 def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -410,22 +408,20 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     d(x,z) <= max(d(x,y), d(y,z)) over to the rounded values.
     """
     require_ultrametric(space, "violating triangle at indices {} with sides {}")
-    n = space.n
-    cache: dict[Fraction, Fraction] = {}
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = space.dist[i][j]
-            v = cache.get(t)
-            if v is None:
-                v = Fraction(3) ** ceil_exponent_base3(t)
-                cache[t] = v
-            rows[i][j] = rows[j][i] = v
-    for t, v in cache.items():  # every output entry is one of these
+    return _quantize(space)
+
+
+def _quantize(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """quantize_3adic on a space known to be ultrametric."""
+
+    def rounded(t: Fraction, i: int, j: int) -> Fraction:
+        v = Fraction(3) ** ceil_exponent_base3(t)
         if not t <= v < 3 * t:
             raise AssertionError(f"{rational_str(t)} rounded to {rational_str(v)}, "
                                  "outside [t, 3t)")
-    return FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rows))
+        return v
+
+    return FiniteMetricSpace(space.labels, tuple(map(tuple, _map_pairs(space, rounded))))
 
 
 def scale_truncate(space: FiniteMetricSpace, epsilon) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:

@@ -40,10 +40,7 @@ class AnnulusOrder:
 
 def annulus_order(pointed: PointedSpace) -> AnnulusOrder:
     space, base = pointed.space, pointed.base
-    shells = []
-    for i in range(space.n):
-        d = space.dist[base][i]
-        shells.append(d.numerator // d.denominator)
+    shells = [d.numerator // d.denominator for d in space.dist[base]]
     order = sorted(range(space.n), key=lambda i: (-shells[i], i))
     ranks = [0] * space.n
     for pos, i in enumerate(order):

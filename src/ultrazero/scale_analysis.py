@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,9 +101,10 @@ def s_components(space: FiniteMetricSpace, scale) -> Partition:
     ds = _linkage.DisjointSet(n)
     # a chain of steps <= s between two points has a minimax path of
     # edges <= s inside the spanning tree, so cutting the tree suffices
-    for w, i, j in _linkage.prim_mst(space.dist):
-        if w <= s:
-            ds.union(i, j)
+    for w, i, j in _linkage.spanning_tree(space.dist)[1]:
+        if w > s:
+            break
+        ds.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(ds.find(i), []).append(i)
@@ -117,11 +118,13 @@ def subdominant_ultrametric(space: FiniteMetricSpace) -> SubdominantResult:
     For each pair this is the minimum over chains of the largest link, and
     a minimum spanning tree realizes every value at once.
     """
-    mst = _linkage.prim_mst(space.dist)
-    rho_rows = _linkage.bottleneck_matrix(space.n, mst)
-    rho = FiniteMetricSpace(space.labels, tuple(tuple(r) for r in rho_rows))
-    edges = tuple(sorted(mst))
-    return SubdominantResult(rho, edges)
+    return _subdominant(space, _linkage.spanning_tree(space.dist)[1])
+
+
+def _subdominant(space: FiniteMetricSpace, edges) -> SubdominantResult:
+    rho_rows = _linkage.bottleneck_matrix(space.n, edges)
+    rho = FiniteMetricSpace(space.labels, tuple(map(tuple, rho_rows)))
+    return SubdominantResult(rho, tuple(edges))
 
 
 def _oracle_limit() -> int:
@@ -181,32 +184,51 @@ def chain_minimax_oracle(space: FiniteMetricSpace, x: int, z: int) -> Fraction:
 
 
 def dim0_certificate(space: FiniteMetricSpace) -> Dim0Certificate:
-    """Tabulate the largest S-component diameter at every realized scale.
+    """Tabulate the largest S-component diameter at every realized scale."""
+    return _certificate(space, *_linkage.spanning_tree(space.dist))
 
-    Components only change at spanning-tree edge weights, so one sweep over
-    tree merges covers all scales; each pair of points crosses exactly one
-    merge, keeping the diameter bookkeeping O(n^2) overall.
+
+def _certificate(space: FiniteMetricSpace, scale, edges) -> Dim0Certificate:
+    """dim0_certificate from the space's spanning tree and lattice scale.
+
+    Components only change at tree merges, and each pair of points crosses
+    exactly one merge. So one sweep, on the lattice, collects every
+    distance and the largest one across each merge, in O(n^2) overall;
+    the table then reports the space's own entries for the lattice values.
     """
     n = space.n
     if n < 2:
         return Dim0Certificate(Fraction(1), ())
     dist = space.dist
-    sweep = _linkage.merges(n, _linkage.prim_mst(dist))
-    merge = next(sweep, None)
-    max_diam = Fraction(0)
-    table: list[tuple[Fraction, Fraction]] = []
-    for s in space.distinct_distances():
-        while merge is not None and merge[0] <= s:
-            _, side_a, side_b = merge
-            for a in side_a:
-                row = dist[a]
-                for b in side_b:
-                    if row[b] > max_diam:
-                        max_diam = row[b]
-            merge = next(sweep, None)
-        table.append((s, max_diam))
-    m = max(d / s for s, d in table)
-    return Dim0Certificate(m, tuple(table))
+    entry = {}  # lattice value -> the space's entry
+    tops = []  # largest distance across each merge, in order of height
+    for _, side_a, side_b in _linkage.merges(n, edges):
+        if len(side_a) > len(side_b):
+            side_a, side_b = side_b, side_a
+        top = 0
+        for a in side_a:
+            values = list(map(dist[a].__getitem__, side_b))
+            ints = _linkage.lattice(values, scale)
+            entry.update(zip(ints, values))
+            top = max(top, *ints)
+        tops.append(top)
+    heights = _linkage.lattice((w for w, _, _ in edges), scale)
+    reach = list(itertools.accumulate(tops, max))  # D at each merge height
+    table, best = [], (0, 1)  # best: the largest D/S so far, as (D, S)
+    for s in sorted(entry):
+        d = reach[bisect_right(heights, s) - 1]
+        if d * best[1] > best[0] * s:
+            best = (d, s)
+        table.append((entry[s], entry[d]))
+    d, s = best
+    return Dim0Certificate(entry[d] / entry[s], tuple(table))
+
+
+def certify(space: FiniteMetricSpace) -> tuple[SubdominantResult, Dim0Certificate]:
+    """subdominant_ultrametric(space) and dim0_certificate(space), read off
+    one spanning tree."""
+    scale, edges = _linkage.spanning_tree(space.dist)
+    return _subdominant(space, edges), _certificate(space, scale, edges)
 
 
 def verify_scale_bounds(

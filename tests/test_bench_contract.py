@@ -4,8 +4,9 @@
 its ``ultrazero`` module, and ``bench/design.json`` lists the layers that
 each workload must (``zero_call_guard``) or must not (``must_not_call``)
 reach. A missing name makes the traced run fail, so these tests read both
-files, change neither, and fail first. The smoke test runs each workload
-traced, briefly, from a copy of ``bench/`` beside the package source.
+files, change neither, and fail first. The smoke tests run the four
+workloads traced, briefly and all at once, from a copy of ``bench/`` beside
+the package source.
 """
 
 import importlib
@@ -49,20 +50,36 @@ def test_guarded_layers_are_wrapped():
             assert not missing, f"{section}[{workload}] names unwrapped layers {missing}"
 
 
+WORKLOADS = ("cli_accept", "cli_reject", "lib_analysis", "groups_islands")
+
+
 @pytest.fixture(scope="module")
-def bench_copy(tmp_path_factory):
-    """bench/ copied next to a link to src/, so a run writes only in the copy."""
+def traced_runs(tmp_path_factory):
+    """Every workload run traced, briefly, from a copy of bench/ next to a
+    link to src/, so a run writes only in the copy. The runs start together;
+    each test waits on its own. Yields workload -> (process, stdout file,
+    stderr file); files, not pipes, so no run stalls on a full pipe."""
     root = tmp_path_factory.mktemp("bench_root")
     shutil.copytree(BENCH, root / "bench", ignore=shutil.ignore_patterns("_run", "__pycache__"))
     (root / "src").symlink_to(ROOT / "src", target_is_directory=True)
-    return root / "bench"
-
-
-@pytest.mark.parametrize("workload", ["cli_accept", "cli_reject", "lib_analysis", "groups_islands"])
-def test_traced_run_is_correct(bench_copy, workload):
-    argv = [sys.executable, str(bench_copy / "run.py"), "--workload", workload,
-            "--seed", "1", "--seconds", "0.5", "--trace", "1"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
-    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
-    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+    runs = {}
+    for workload in WORKLOADS:
+        argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+                "--seed", "1", "--seconds", "0.5", "--trace", "1"]
+        out, err = root / f"{workload}.out", root / f"{workload}.err"
+        with open(out, "w") as fo, open(err, "w") as fe:
+            runs[workload] = subprocess.Popen(argv, stdout=fo, stderr=fe, env=env), out, err
+    yield runs
+    for proc, _, _ in runs.values():
+        proc.kill()  # a no-op on the runs that finished
+        proc.wait()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_is_correct(traced_runs, workload):
+    proc, out, err = traced_runs[workload]
+    code = proc.wait(timeout=600)
+    stdout = out.read_text(encoding="utf-8")
+    assert code == 0, stdout[-2000:] + err.read_text(encoding="utf-8")[-2000:]
+    assert json.loads(stdout.splitlines()[-1])["correct"] is True

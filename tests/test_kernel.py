@@ -25,8 +25,8 @@ from ultrazero import (
 )
 from ultrazero.errors import fail
 from ultrazero import _linkage
-from ultrazero._linkage import _SCALE_BITS
-from ultrazero.metric_core import _SCAN_LIMIT, _int_rows, _witness_by_scan
+from ultrazero._linkage import _SCALE_BITS, lattice_rows
+from ultrazero.metric_core import _SCAN_LIMIT, _witness_by_scan
 from ultrazero.rational import rational_str
 
 F = Fraction
@@ -208,15 +208,15 @@ def as_space(rows) -> FiniteMetricSpace:
 
 
 def test_int_rows_scale_over_the_lcm():
-    assert _int_rows([[F(0), F(1, 2)], [F(1, 3), F(0)]]) == [[0, 3], [2, 0]]
-    assert _int_rows([[F(0), F(5)], [F(5), F(0)]]) == [[0, 5], [5, 0]]
+    assert lattice_rows([[F(0), F(1, 2)], [F(1, 3), F(0)]]) == [[0, 3], [2, 0]]
+    assert lattice_rows([[F(0), F(5)], [F(5), F(0)]]) == [[0, 5], [5, 0]]
 
 
 def test_int_rows_keep_fractions_past_the_scale_bound():
     at = F(1, 2 ** (_SCALE_BITS - 1))  # LCM of _SCALE_BITS bits
-    assert _int_rows([[F(0), at], [at, F(0)]]) == [[0, 1], [1, 0]]
+    assert lattice_rows([[F(0), at], [at, F(0)]]) == [[0, 1], [1, 0]]
     past = [[F(0), at / 2], [at / 2, F(0)]]
-    assert _int_rows(past) is past
+    assert lattice_rows(past) is past
 
 
 def coprime_band(n, p=None):
@@ -231,7 +231,7 @@ def coprime_band(n, p=None):
 @pytest.mark.parametrize("p", [None, 0, 18])
 def test_many_coprime_denominators(p):
     rows = coprime_band(_SCAN_LIMIT, p)
-    assert _int_rows(rows) is rows
+    assert lattice_rows(rows) is rows
     labs = labels(len(rows))
     got = outcome(validate_metric, labs, rows)
     assert got == outcome(oracle_validate, labs, rows)

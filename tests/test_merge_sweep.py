@@ -3,9 +3,10 @@
 The oracles below are the bottleneck fill with its own member dict, the
 scale table with its own union-find sweep, and the S-component partition
 that unions every pair at or below the scale. The library now derives all
-three from ``_linkage.merges`` or from a cut of the spanning tree; every
-outcome must agree exactly, on the integer lattice and on the Fraction
-path past its bit bound.
+three from ``_linkage.merges`` or from a cut of the spanning tree, and
+``certify`` reads the subdominant ultrametric and the certificate off one
+tree; every outcome must agree exactly, on the integer lattice and on the
+Fraction path past its bit bound.
 """
 
 import contextlib
@@ -22,8 +23,10 @@ from ultrazero import (
     Dim0Certificate,
     FiniteMetricSpace,
     Partition,
+    certify,
     dim0_certificate,
     s_components,
+    subdominant_ultrametric,
 )
 from ultrazero import _linkage
 
@@ -58,7 +61,8 @@ def oracle_dim0(space: FiniteMetricSpace) -> Dim0Certificate:
     if n < 2:
         return Dim0Certificate(F(1), ())
     dist = space.dist
-    mst = sorted(_linkage.prim_mst(dist), key=lambda e: (e[0], e[1], e[2]))
+    scale = _linkage.lattice_scale(c for row in dist for c in row)
+    mst = sorted(_linkage.prim_mst(dist, scale), key=lambda e: (e[0], e[1], e[2]))
     ds = _linkage.DisjointSet(n)
     members = {i: [i] for i in range(n)}
     max_diam = F(0)
@@ -171,20 +175,22 @@ def path(fractions: bool):
 
 @pytest.mark.parametrize("fractions", [False, True], ids=["lattice", "fractions"])
 @settings(max_examples=40, deadline=None)
-@given(space=spaces(), rng=st.randoms(use_true_random=False))
-def test_sweep_matches_oracles(fractions, space, rng):
+@given(space=spaces())
+def test_sweep_matches_oracles(fractions, space):
     with path(fractions):
-        mst = _linkage.prim_mst(space.dist)
-        shuffled = rng.sample(mst, len(mst))  # merges sorts the edges itself
-        assert _linkage.bottleneck_matrix(space.n, shuffled) == oracle_bottleneck(space.n, mst)
-        assert dim0_certificate(space) == oracle_dim0(space)
+        scale, mst = _linkage.spanning_tree(space.dist)
+        assert mst == sorted(_linkage.prim_mst(space.dist, scale))  # sorted on the lattice
+        assert _linkage.bottleneck_matrix(space.n, mst) == oracle_bottleneck(space.n, mst)
+        sub, cert = certify(space)  # both from one tree, as the separate calls give them
+        assert sub == subdominant_ultrametric(space)
+        assert cert == dim0_certificate(space) == oracle_dim0(space)
 
 
 def test_every_pair_is_split_by_exactly_one_merge():
     rng = random.Random(5)
     for n in (1, 2, 7, 30):
         space = gen.random_metric(rng, n)
-        mst = _linkage.prim_mst(space.dist)
+        mst = _linkage.spanning_tree(space.dist)[1]
         seen = set()
         heights = []
         for w, side_a, side_b in _linkage.merges(n, mst):

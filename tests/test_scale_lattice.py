@@ -7,6 +7,7 @@ edges in the same order, and the same BoundsReport, violations included.
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -137,7 +138,7 @@ def path(request, monkeypatch):
 def test_prim_matches_oracle(path, make_rng):
     rng = make_rng(1301)
     for space in spaces(rng):
-        got = _linkage.prim_mst(space.dist)
+        got = _linkage.prim_mst(space.dist, _linkage.lattice_scale(chain.from_iterable(space.dist)))
         assert got == oracle_prim(space.dist)
         assert all(type(w) is Fraction for w, _, _ in got)
 
@@ -145,7 +146,7 @@ def test_prim_matches_oracle(path, make_rng):
 def test_prim_breaks_ties_by_index():
     # all distances equal: every vertex joins from 0, in index order
     space = validate_metric("abcde", [[0 if i == j else 2 for j in range(5)] for i in range(5)])
-    assert _linkage.prim_mst(space.dist) == [(2, 0, v) for v in range(1, 5)]
+    assert _linkage.prim_mst(space.dist, 1) == [(2, 0, v) for v in range(1, 5)]
 
 
 def test_bounds_match_oracle(path, make_rng):
