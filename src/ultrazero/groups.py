@@ -261,19 +261,18 @@ def group_isometric_embedding(
     return GroupEmbedding(source, target, depth, tuple(assignment), bijective, checked)
 
 
+def _smallest_factor(n: int, start: int = 2) -> int:
+    """Smallest prime factor of n > 1, given that n has none below start."""
+    k = start
+    while k * k <= n:
+        if n % k == 0:
+            return k
+        k += 1 if k == 2 else 2
+    return n
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    k = 3
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 2
-    return True
+    return p >= 2 and _smallest_factor(p) == p
 
 
 def _valuation(n: int, p: int) -> int:
@@ -331,14 +330,11 @@ class ProtasovReport:
 def _prime_factors(n: int) -> set[int]:
     out = set()
     k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.add(k)
-            while n % k == 0:
-                n //= k
-        k += 1 if k == 2 else 2
-    if n > 1:
-        out.add(n)
+    while n > 1:
+        k = _smallest_factor(n, k)
+        out.add(k)
+        while n % k == 0:
+            n //= k
     return out
 
 

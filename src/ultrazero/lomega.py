@@ -243,10 +243,8 @@ def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
     ultrametric), the rounded space embeds isometrically, and the digest
     records the achieved-over-required ratios, always inside [1, 3).
     """
-    from .metric_core import quantize_3adic
-
     require_ultrametric(space)
-    inner = _embed_isometric(quantize_3adic(space))
+    inner = _embed_isometric(_quantize(space))
     lo, hi = _ratio_window(space, inner.images)
     if not (1 <= lo and hi < 3):
         raise AssertionError("quantized embedding left the [1,3) window")
@@ -280,9 +278,7 @@ def embed_universal(space: FiniteMetricSpace) -> UniversalEmbedding:
     step rechecks ultrametricity.
     """
     sub, cert = certify(space)
-    factor = 2 * cert.m
-    scaled = tuple(tuple(v * factor for v in row) for row in sub.rho.dist)
-    inner = _embed_isometric(_quantize(FiniteMetricSpace(space.labels, scaled)))
+    inner = _embed_isometric(_quantize(sub.rho, 2 * cert.m))
     lo, hi = _ratio_window(space, inner.images)
     bound = 6 * cert.m
     return UniversalEmbedding(inner, cert.m, bound, lo, hi, lo >= 1 and hi <= bound)

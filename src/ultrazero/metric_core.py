@@ -22,7 +22,8 @@ from . import _linkage
 from .errors import fail
 from .rational import as_fraction, ceil_exponent_base3, rational_str
 
-# Exhaustive triple scan up to this size; minimax-tree certification above.
+# Up to this size a failed ultrametric check names the lexicographically
+# first violating triple, found by the triple scan; above it, a tree-path one.
 _SCAN_LIMIT = 40
 
 
@@ -227,14 +228,17 @@ def _witness_by_scan(space: FiniteMetricSpace) -> UltraWitness:
     return UltraWitness(False, bad, (a, b, c))
 
 
-def _witness_by_linkage(space: FiniteMetricSpace) -> UltraWitness:
-    """Certify via the minimax spanning tree in O(n^2).
+def is_ultrametric(space: FiniteMetricSpace) -> UltraWitness:
+    """Decide ultrametricity, returning a violating triangle on failure.
 
-    The space is ultrametric iff the distance matrix equals its own
-    minimax-path matrix. On a mismatch pair (x, z) we walk the tree path:
-    the first step y with d(y, z) < d(x, z) closes a violating triangle,
-    and one always appears before the path runs out because each non-step
-    strictly shrinks the remaining path while keeping the mismatch.
+    The space is ultrametric iff its distance matrix equals the minimax-path
+    matrix of its minimum spanning tree, its subdominant ultrametric; one
+    comparison on the lattice decides at every size. Up to _SCAN_LIMIT
+    points a "no" is then named by the lexicographically first violating
+    triple. Above it, on a mismatch pair (x, z) we walk the tree path: the
+    first step y with d(y, z) < d(x, z) closes a violating triangle, and one
+    always appears before the path runs out because each non-step strictly
+    shrinks the remaining path while keeping the mismatch.
     """
     dist = space.dist
     n = space.n
@@ -245,10 +249,12 @@ def _witness_by_linkage(space: FiniteMetricSpace) -> UltraWitness:
     for x in range(n):
         got, want = rho[x][x + 1:], _linkage.lattice(dist[x][x + 1:], scale)
         if got != want:
-            z = x + 1 + list(map(ne, got, want)).index(True)
             break
     else:
         return UltraWitness(True)
+    if n <= _SCAN_LIMIT:
+        return _witness_by_scan(space)
+    z = x + 1 + list(map(ne, got, want)).index(True)
     path = _linkage.tree_path(n, mst, x, z)
     for step in range(len(path) - 2):
         y = path[step + 1]
@@ -257,13 +263,6 @@ def _witness_by_linkage(space: FiniteMetricSpace) -> UltraWitness:
             return UltraWitness(False, (x, y, z), (a, b, c))
         x = y
     raise AssertionError("minimax mismatch must yield a violating triangle")
-
-
-def is_ultrametric(space: FiniteMetricSpace) -> UltraWitness:
-    """Decide ultrametricity, returning a violating triangle on failure."""
-    if space.n <= _SCAN_LIMIT:
-        return _witness_by_scan(space)
-    return _witness_by_linkage(space)
 
 
 def require_ultrametric(space: FiniteMetricSpace,
@@ -411,10 +410,12 @@ def quantize_3adic(space: FiniteMetricSpace) -> FiniteMetricSpace:
     return _quantize(space)
 
 
-def _quantize(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """quantize_3adic on a space known to be ultrametric."""
+def _quantize(space: FiniteMetricSpace, factor=1) -> FiniteMetricSpace:
+    """quantize_3adic of the space with every distance times factor, for a
+    space known to be ultrametric; each distinct distance is scaled once."""
 
-    def rounded(t: Fraction, i: int, j: int) -> Fraction:
+    def rounded(d: Fraction, i: int, j: int) -> Fraction:
+        t = d * factor
         v = Fraction(3) ** ceil_exponent_base3(t)
         if not t <= v < 3 * t:
             raise AssertionError(f"{rational_str(t)} rounded to {rational_str(v)}, "

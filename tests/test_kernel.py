@@ -249,7 +249,7 @@ def test_fraction_scan_matches_oracles(data):
         mp.setattr(_linkage, "_SCALE_BITS", 0)  # every matrix stays in Fractions
         got = outcome(validate_metric, labs, rows)
         assert got == outcome(oracle_validate, labs, rows)
-        assert _witness_by_scan(space) == oracle_scan(space)
+        assert_ultrametric_matches_oracle(space)
         if isinstance(got, FiniteMetricSpace):
             gauge = data.draw(gauges(got))
             assert outcome(apply_gauge, got, gauge) == outcome(oracle_gauge, got, gauge)
@@ -262,16 +262,21 @@ def test_validate_matches_oracle(rows):
     assert outcome(validate_metric, labs, rows) == outcome(oracle_validate, labs, rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_scan_matches_oracle(rows):
-    space = as_space(rows)
+def assert_ultrametric_matches_oracle(space):
+    """The scan gives oracle_scan's witness; is_ultrametric gives it too up
+    to _SCAN_LIMIT points, and the same verdict above."""
     want = oracle_scan(space)
     assert _witness_by_scan(space) == want
     if space.n <= _SCAN_LIMIT:
         assert is_ultrametric(space) == want
     else:
         assert is_ultrametric(space).verdict == want.verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_scan_matches_oracle(rows):
+    assert_ultrametric_matches_oracle(as_space(rows))
 
 
 @st.composite

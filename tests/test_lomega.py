@@ -299,16 +299,16 @@ class TestAuditsSurviveOptimizedMode:
 
     def test_window_audit(self, run_optimized):
         done = run_optimized("""
-            from ultrazero import FiniteMetricSpace, lomega, metric_core, validate_metric
+            from ultrazero import FiniteMetricSpace, lomega, validate_metric
 
-            real = metric_core.quantize_3adic
+            real = lomega._quantize
 
             def inflated(space):
                 out = real(space)
                 return FiniteMetricSpace(out.labels,
                                          tuple(tuple(9 * v for v in row) for row in out.dist))
 
-            metric_core.quantize_3adic = inflated
+            lomega._quantize = inflated
             space = validate_metric(["a", "b"], [[0, 2], [2, 0]])
             try:
                 lomega.embed_ultrametric(space)

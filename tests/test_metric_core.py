@@ -17,7 +17,7 @@ from ultrazero import (
     scale_truncate,
     validate_metric,
 )
-from ultrazero.metric_core import _SCAN_LIMIT, _witness_by_linkage, _witness_by_scan
+from ultrazero.metric_core import _SCAN_LIMIT, _witness_by_scan
 
 F = Fraction
 
@@ -131,14 +131,14 @@ class TestIsUltrametric:
             assert a <= b < c
 
     def test_scan_and_linkage_agree(self, make_rng):
-        # straddle the dispatch cutoff from both sides
+        # the tree decides at every size; straddle the witness cutoff
         rng = make_rng(102)
         sizes = [3, 5, _SCAN_LIMIT - 1, _SCAN_LIMIT, _SCAN_LIMIT + 1]
         for n in sizes:
             for mk in (gen.random_metric, gen.random_ultrametric):
                 s = mk(rng, n)
                 ws = _witness_by_scan(s)
-                wl = _witness_by_linkage(s)
+                wl = is_ultrametric(s)
                 assert ws.verdict == wl.verdict
                 for w in (ws, wl):
                     if not w.verdict:
