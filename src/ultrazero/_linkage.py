@@ -102,19 +102,19 @@ def prim_mst(dist, scale: int | None) -> list[tuple[Fraction, int, int]]:
     return edges
 
 
-def spanning_tree(dist) -> tuple[int | None, list[tuple[Fraction, int, int]]]:
-    """The matrix's lattice scale and its minimum spanning tree, the one
-    tree every scale and ultrametric computation reads.
+def spanning_tree(dist) -> tuple[int | None, list[tuple[Fraction, int, int]], list]:
+    """The matrix's lattice scale, its minimum spanning tree and the tree's
+    heights: the one tree every scale and ultrametric computation reads.
 
     The edges come in sorted() order, by (weight, i, j), sorted once on
-    the lattice; the scale puts the matrix's values on it for the callers.
+    the lattice; heights lists their weights on it, in the same order.
     """
     # a symmetric matrix with a zero diagonal: the row tails hold every value
     scale = lattice_scale(chain.from_iterable(row[i + 1:] for i, row in enumerate(dist)))
     edges = prim_mst(dist, scale)
     heights = lattice((w for w, _, _ in edges), scale)
     order = sorted((h, i, j) for h, (_, i, j) in zip(heights, edges))
-    return scale, [(dist[i][j], i, j) for _, i, j in order]
+    return scale, [(dist[i][j], i, j) for _, i, j in order], [h for h, _, _ in order]
 
 
 def merges(n: int, mst_edges) -> Iterator[tuple[Fraction, list[int], list[int]]]:

@@ -56,17 +56,13 @@ def _load_space(path: str) -> FiniteMetricSpace:
     return jsonio.space_from_json(jsonio.load_document(path))
 
 
-def _error_lines(exc: UltrazeroError) -> list[str]:
-    return [str(exc)]
-
-
 def cmd_validate(args) -> tuple[int, dict, list[str]]:
     doc = jsonio.load_document(args.space)
     try:
         space = jsonio.space_from_json(doc)
     except UltrazeroError as exc:
         if exc.code in _AXIOM_CODES:
-            return 1, jsonio.error_to_json(exc), _error_lines(exc)
+            return 1, jsonio.error_to_json(exc), [str(exc)]
         raise
     return 0, {"valid": True, "points": space.n}, [f"valid metric space with {space.n} points"]
 
@@ -389,7 +385,7 @@ def run(argv=None) -> int:
     try:
         code, doc, human = args.handler(args)
     except UltrazeroError as exc:
-        doc, human = jsonio.error_to_json(exc), _error_lines(exc)
+        doc, human = jsonio.error_to_json(exc), [str(exc)]
         code = 1 if exc.code in _PROPERTY_CODES_BY_COMMAND.get(args.command, ()) else 2
     text = _render(args, doc, human)
     if not args.output:
@@ -400,7 +396,7 @@ def run(argv=None) -> int:
             fh.write(text)
     except OSError as exc:
         err = fail("BadParameters", f"cannot write {args.output}: {exc.strerror or exc}")
-        sys.stderr.write(_render(args, jsonio.error_to_json(err), _error_lines(err)))
+        sys.stderr.write(_render(args, jsonio.error_to_json(err), [str(err)]))
         return 2
     return code
 

@@ -41,7 +41,7 @@ def load_document(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise fail("MalformedInput", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or int; deep nesting
         raise fail("MalformedInput", f"{path} is not valid JSON: {exc}") from None
 
 

@@ -199,10 +199,13 @@ class LOmegaEmbedding:
     max_ratio: Fraction
 
 
-def _ratio_window(space: FiniteMetricSpace, images: Sequence[LOmegaPoint]):
-    """Smallest and largest ratio of image distance over space distance
-    across all pairs, as (lo, hi); (1, 1) below two points."""
-    ratios = (mu(images[i], images[j]).as_fraction() / space.dist[i][j] for i, j in space.pairs())
+def _ratio_window(space: FiniteMetricSpace, target: FiniteMetricSpace):
+    """Smallest and largest ratio of target distance over space distance
+    across all pairs, as (lo, hi); (1, 1) below two points. target is the
+    space that _embed_isometric has just audited: each image distance mu
+    matched its distance, pair by pair, and that audit is what makes these
+    quotients equal to image distance over space distance."""
+    ratios = (target.dist[i][j] / space.dist[i][j] for i, j in space.pairs())
     lo = hi = next(ratios, Fraction(1))
     for ratio in ratios:
         if ratio < lo:
@@ -245,7 +248,7 @@ def embed_ultrametric(space: FiniteMetricSpace) -> LOmegaEmbedding:
     """
     require_ultrametric(space)
     inner = _embed_isometric(_quantize(space))
-    lo, hi = _ratio_window(space, inner.images)
+    lo, hi = _ratio_window(space, inner.source)
     if not (1 <= lo and hi < 3):
         raise AssertionError("quantized embedding left the [1,3) window")
     return LOmegaEmbedding(space, inner.images, "quantized", inner.checked_pairs, lo, hi)
@@ -279,6 +282,6 @@ def embed_universal(space: FiniteMetricSpace) -> UniversalEmbedding:
     """
     sub, cert = certify(space)
     inner = _embed_isometric(_quantize(sub.rho, 2 * cert.m))
-    lo, hi = _ratio_window(space, inner.images)
+    lo, hi = _ratio_window(space, inner.source)
     bound = 6 * cert.m
     return UniversalEmbedding(inner, cert.m, bound, lo, hi, lo >= 1 and hi <= bound)

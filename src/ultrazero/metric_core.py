@@ -218,9 +218,10 @@ def validate_metric(labels: Sequence[str], matrix: Sequence[Sequence]) -> Finite
     return FiniteMetricSpace(labs, tuple(rows))
 
 
-def _witness_by_scan(space: FiniteMetricSpace) -> UltraWitness:
+def _witness_by_scan(space: FiniteMetricSpace, scale: int | None) -> UltraWitness:
+    """The first violating triple, scanned on the lattice of the tree's scale."""
     dist = space.dist
-    bad = _first_bad_triple(_linkage.lattice_rows(dist), _ultra_pair_ok)
+    bad = _first_bad_triple([_linkage.lattice(row, scale) for row in dist], _ultra_pair_ok)
     if bad is None:
         return UltraWitness(True)
     i, j, k = bad
@@ -242,9 +243,8 @@ def is_ultrametric(space: FiniteMetricSpace) -> UltraWitness:
     """
     dist = space.dist
     n = space.n
-    scale, mst = _linkage.spanning_tree(dist)
+    scale, mst, heights = _linkage.spanning_tree(dist)
     # the minimax matrix on the lattice: the tree with its lattice heights
-    heights = _linkage.lattice((w for w, _, _ in mst), scale)
     rho = _linkage.bottleneck_matrix(n, [(h, i, j) for h, (_, i, j) in zip(heights, mst)])
     for x in range(n):
         got, want = rho[x][x + 1:], _linkage.lattice(dist[x][x + 1:], scale)
@@ -253,7 +253,7 @@ def is_ultrametric(space: FiniteMetricSpace) -> UltraWitness:
     else:
         return UltraWitness(True)
     if n <= _SCAN_LIMIT:
-        return _witness_by_scan(space)
+        return _witness_by_scan(space, scale)
     z = x + 1 + list(map(ne, got, want)).index(True)
     path = _linkage.tree_path(n, mst, x, z)
     for step in range(len(path) - 2):

@@ -188,8 +188,8 @@ def dim0_certificate(space: FiniteMetricSpace) -> Dim0Certificate:
     return _certificate(space, *_linkage.spanning_tree(space.dist))
 
 
-def _certificate(space: FiniteMetricSpace, scale, edges) -> Dim0Certificate:
-    """dim0_certificate from the space's spanning tree and lattice scale.
+def _certificate(space: FiniteMetricSpace, scale, edges, heights) -> Dim0Certificate:
+    """dim0_certificate from the space's spanning_tree: scale, edges, heights.
 
     Components only change at tree merges, and each pair of points crosses
     exactly one merge. So one sweep, on the lattice, collects every
@@ -212,7 +212,6 @@ def _certificate(space: FiniteMetricSpace, scale, edges) -> Dim0Certificate:
             entry.update(zip(ints, values))
             top = max(top, *ints)
         tops.append(top)
-    heights = _linkage.lattice((w for w, _, _ in edges), scale)
     reach = list(itertools.accumulate(tops, max))  # D at each merge height
     table, best = [], (0, 1)  # best: the largest D/S so far, as (D, S)
     for s in sorted(entry):
@@ -227,8 +226,8 @@ def _certificate(space: FiniteMetricSpace, scale, edges) -> Dim0Certificate:
 def certify(space: FiniteMetricSpace) -> tuple[SubdominantResult, Dim0Certificate]:
     """subdominant_ultrametric(space) and dim0_certificate(space), read off
     one spanning tree."""
-    scale, edges = _linkage.spanning_tree(space.dist)
-    return _subdominant(space, edges), _certificate(space, scale, edges)
+    scale, edges, heights = _linkage.spanning_tree(space.dist)
+    return _subdominant(space, edges), _certificate(space, scale, edges, heights)
 
 
 def verify_scale_bounds(

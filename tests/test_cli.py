@@ -1,6 +1,7 @@
 """End to end command line checks, driven in process through run()."""
 
 import json
+import sys
 
 import pytest
 
@@ -93,6 +94,18 @@ class TestValidate:
         path.write_text("{", encoding="utf-8")
         code, _ = run_human(capsys, ["validate", str(path)])
         assert code == 2
+        undecodable = [
+            b'\xff\xfe{"labels": ["a"], "dist": [[0]]}',  # not UTF-8
+            b"[" * 100_000,  # nested past the recursion limit
+        ]
+        if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11 on: a digit limit
+            undecodable.append(b"[" + b"7" * (sys.get_int_max_str_digits() + 1) + b"]")
+        for content in undecodable:
+            path.write_bytes(content)
+            code, report = run_json(capsys, ["validate", str(path)])
+            assert code == 2
+            assert report["error"] == "MalformedInput"
+            assert report["message"].startswith(f"MalformedInput: {path} is not valid JSON: ")
 
 
 class TestUsage:

@@ -204,6 +204,12 @@ def as_space(rows) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels(len(rows)), tuple(map(tuple, rows)))
 
 
+def scan(space: FiniteMetricSpace) -> UltraWitness:
+    """_witness_by_scan on the matrix's lattice scale, which on a symmetric
+    matrix is the one is_ultrametric takes from its tree."""
+    return _witness_by_scan(space, _linkage.lattice_scale(v for row in space.dist for v in row))
+
+
 # ---------------------------------------------------------------- tests
 
 
@@ -237,7 +243,7 @@ def test_many_coprime_denominators(p):
     assert got == outcome(oracle_validate, labs, rows)
     assert isinstance(got, FiniteMetricSpace) == (p is None)
     space = as_space(rows)
-    assert _witness_by_scan(space) == oracle_scan(space)
+    assert scan(space) == oracle_scan(space)
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,7 +272,7 @@ def assert_ultrametric_matches_oracle(space):
     """The scan gives oracle_scan's witness; is_ultrametric gives it too up
     to _SCAN_LIMIT points, and the same verdict above."""
     want = oracle_scan(space)
-    assert _witness_by_scan(space) == want
+    assert scan(space) == want
     if space.n <= _SCAN_LIMIT:
         assert is_ultrametric(space) == want
     else:
@@ -327,10 +333,10 @@ def test_planted_ultrametric_violation(where, n, make_rng):
     rng = make_rng(902)
     p = WHERE[where](n)
     space = as_space(chain(rng, n, p))
-    got = _witness_by_scan(space)
+    got = scan(space)
     assert got == oracle_scan(space)
     assert got.triangle == (p, p + 1, n - 1)
-    assert _witness_by_scan(as_space(chain(rng, n))) == UltraWitness(True)
+    assert scan(as_space(chain(rng, n))) == UltraWitness(True)
 
 
 def gauge_trap(rng, n, p):

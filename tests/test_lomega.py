@@ -236,9 +236,12 @@ class TestEmbedUltrametric:
             s = gen.random_ultrametric(rng, rng.randint(2, 20))
             emb = embed_ultrametric(s)
             assert 1 <= emb.min_ratio <= emb.max_ratio < 3
+            ratios = []
             for i, j in s.pairs():
                 got = mu(emb.images[i], emb.images[j]).as_fraction()
                 assert s.d(i, j) <= got < 3 * s.d(i, j)
+                ratios.append(got / s.d(i, j))
+            assert (min(ratios), max(ratios)) == (emb.min_ratio, emb.max_ratio)
 
     def test_power_valued_input_is_isometric(self, make_rng):
         rng = make_rng(307)

@@ -178,8 +178,9 @@ def path(fractions: bool):
 @given(space=spaces())
 def test_sweep_matches_oracles(fractions, space):
     with path(fractions):
-        scale, mst = _linkage.spanning_tree(space.dist)
+        scale, mst, heights = _linkage.spanning_tree(space.dist)
         assert mst == sorted(_linkage.prim_mst(space.dist, scale))  # sorted on the lattice
+        assert heights == _linkage.lattice((w for w, _, _ in mst), scale)
         assert _linkage.bottleneck_matrix(space.n, mst) == oracle_bottleneck(space.n, mst)
         sub, cert = certify(space)  # both from one tree, as the separate calls give them
         assert sub == subdominant_ultrametric(space)

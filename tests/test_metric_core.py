@@ -17,6 +17,7 @@ from ultrazero import (
     scale_truncate,
     validate_metric,
 )
+from ultrazero import _linkage
 from ultrazero.metric_core import _SCAN_LIMIT, _witness_by_scan
 
 F = Fraction
@@ -137,7 +138,7 @@ class TestIsUltrametric:
         for n in sizes:
             for mk in (gen.random_metric, gen.random_ultrametric):
                 s = mk(rng, n)
-                ws = _witness_by_scan(s)
+                ws = _witness_by_scan(s, _linkage.spanning_tree(s.dist)[0])
                 wl = is_ultrametric(s)
                 assert ws.verdict == wl.verdict
                 for w in (ws, wl):

@@ -24,6 +24,7 @@ from ultrazero import (
     embed_ultrametric,
     embed_universal,
     jsonio,
+    lomega,
     metric_core,
     quantize_3adic,
     validate_metric,
@@ -89,6 +90,26 @@ def test_the_scan_only_names_the_witness_of_a_no(monkeypatch, n, scans_run):
     assert not metric_core.is_ultrametric(space)
     assert len(trees) == 1
     assert len(scans) == scans_run
+
+
+def test_a_no_lattices_the_space_once(monkeypatch):
+    # the scan that names the witness reads the lattice scale of the tree
+    scales = counted(monkeypatch, _linkage, "lattice_scale")
+    assert not metric_core.is_ultrametric(gen.random_metric(random.Random(16), _SCAN_LIMIT))
+    assert len(scales) == 1
+
+
+@pytest.mark.parametrize("embed, make", [
+    (embed_universal, gen.random_metric), (embed_ultrametric, gen.random_ultrametric),
+], ids=["universal", "ultrametric"])
+def test_embeddings_measure_each_image_pair_once(monkeypatch, embed, make):
+    # the isometry audit calls mu once per pair; the ratio window reads the
+    # quantized distances that audit has just matched
+    n = 16
+    space = make(random.Random(17), n)
+    calls = counted(monkeypatch, lomega, "mu")
+    embed(space)
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_embed_ultrametric_checks_its_input_once(monkeypatch):
