@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested construction or property check succeeds,
 1 when the checked property fails (a witness report is still emitted),
-2 for malformed input, bad parameters, or usage errors.
+2 for malformed input, bad parameters, or usage errors. An error raised by
+a command exits 1 only if ``_PROPERTY_CODES_BY_COMMAND`` lists its code for
+that command; that table is the one place that decides an error's exit code.
 
 Reports stream to stdout (or --output FILE) as JSON or a short human
 rendering; JSON is the stable interface.
@@ -38,11 +40,10 @@ from .scale_analysis import (
     verify_scale_bounds,
 )
 
-_AXIOM_CODES = frozenset({"DuplicateLabel", "NonZeroDiagonal", "NonSymmetric",
-                          "NegativeOrZeroOffDiagonal", "TriangleViolation"})
-
 # codes that mean "the data is well formed but the checked property fails"
 _PROPERTY_CODES_BY_COMMAND = {
+    "validate": {"DuplicateLabel", "NonZeroDiagonal", "NonSymmetric",
+                 "NegativeOrZeroOffDiagonal", "TriangleViolation"},
     "quantize": {"NotUltrametric"},
     "embed-lomega": {"NotUltrametric", "NotThreePowerValued"},
     "retract": {"NotUltrametric"},
@@ -57,13 +58,7 @@ def _load_space(path: str) -> FiniteMetricSpace:
 
 
 def cmd_validate(args) -> tuple[int, dict, list[str]]:
-    doc = jsonio.load_document(args.space)
-    try:
-        space = jsonio.space_from_json(doc)
-    except UltrazeroError as exc:
-        if exc.code in _AXIOM_CODES:
-            return 1, jsonio.error_to_json(exc), [str(exc)]
-        raise
+    space = _load_space(args.space)
     return 0, {"valid": True, "points": space.n}, [f"valid metric space with {space.n} points"]
 
 
@@ -289,83 +284,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, configure):
+    def add(name, handler, *positionals):
         p = sub.add_parser(name)
         p.add_argument("--format", choices=("json", "human"), default="human")
         p.add_argument("--output", default=None, help="write the report to a file")
-        configure(p)
+        for positional in positionals:
+            p.add_argument(positional)
         p.set_defaults(handler=handler)
         return p
 
-    def positional(*names):
-        def configure(p):
-            for name in names:
-                p.add_argument(name)
-        return configure
-
-    add("validate", cmd_validate, positional("space"))
-    add("ultra-check", cmd_ultra_check, positional("space"))
-
-    def conf_components(p):
-        p.add_argument("space")
-        p.add_argument("--scale", required=True)
-
-    add("components", cmd_components, conf_components)
-    add("subdominant", cmd_subdominant, positional("space"))
-    add("dim0-cert", cmd_dim0_cert, positional("space"))
-    add("verify-bounds", cmd_verify_bounds, positional("space"))
-    add("quantize", cmd_quantize, positional("space"))
-    add("embed-lomega", cmd_embed_lomega, positional("space"))
-    add("embed-universal", cmd_embed_universal, positional("space"))
-
-    def conf_retract(p):
-        p.add_argument("space")
-        p.add_argument("--base", default=None)
-        p.add_argument("--subset", required=True,
-                       help="comma separated labels; a label containing a comma cannot be named")
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--delta", default=None)
-
-    add("retract", cmd_retract, conf_retract)
-
-    add("group-dist", cmd_group_dist, positional("spec", "p", "q"))
-
-    def conf_group_ball(p):
-        p.add_argument("spec")
-        p.add_argument("--depth", type=int, required=True)
-
-    add("group-ball", cmd_group_ball, conf_group_ball)
-
-    def conf_group_embed(p):
-        p.add_argument("source")
-        p.add_argument("target")
-        p.add_argument("--depth", type=int, required=True)
-
-    add("group-embed", cmd_group_embed, conf_group_embed)
-
-    def conf_sylow(p):
-        p.add_argument("spec")
-        p.add_argument("--prime", type=int, required=True)
-
-    add("sylow", cmd_sylow, conf_sylow)
-
-    add("protasov", cmd_protasov, positional("left", "right"))
-    add("m0-encode", cmd_m0_encode, positional("spec", "element"))
-    add(
-        "m0-check",
-        cmd_m0_check,
-        lambda p: p.add_argument("--max-len", dest="max_len", type=int, default=7),
-    )
-    add("archipelago-build", cmd_archipelago_build, positional("plan"))
-    add("archipelago-profile", cmd_archipelago_profile, positional("space"))
-    add("archipelago-compare", cmd_archipelago_compare, positional("left", "right"))
-
-    def conf_ball_audit(p):
-        p.add_argument("space")
-        p.add_argument("--sample", action="append", required=True,
-                       help="CENTER:RADIUS, repeatable")
-
-    add("ball-audit", cmd_ball_audit, conf_ball_audit)
+    add("validate", cmd_validate, "space")
+    add("ultra-check", cmd_ultra_check, "space")
+    add("components", cmd_components, "space").add_argument("--scale", required=True)
+    add("subdominant", cmd_subdominant, "space")
+    add("dim0-cert", cmd_dim0_cert, "space")
+    add("verify-bounds", cmd_verify_bounds, "space")
+    add("quantize", cmd_quantize, "space")
+    add("embed-lomega", cmd_embed_lomega, "space")
+    add("embed-universal", cmd_embed_universal, "space")
+    p = add("retract", cmd_retract, "space")
+    p.add_argument("--base", default=None)
+    p.add_argument("--subset", required=True,
+                   help="comma separated labels; a label containing a comma cannot be named")
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--delta", default=None)
+    add("group-dist", cmd_group_dist, "spec", "p", "q")
+    add("group-ball", cmd_group_ball, "spec").add_argument("--depth", type=int, required=True)
+    add("group-embed", cmd_group_embed, "source", "target").add_argument(
+        "--depth", type=int, required=True)
+    add("sylow", cmd_sylow, "spec").add_argument("--prime", type=int, required=True)
+    add("protasov", cmd_protasov, "left", "right")
+    add("m0-encode", cmd_m0_encode, "spec", "element")
+    add("m0-check", cmd_m0_check).add_argument("--max-len", dest="max_len", type=int, default=7)
+    add("archipelago-build", cmd_archipelago_build, "plan")
+    add("archipelago-profile", cmd_archipelago_profile, "space")
+    add("archipelago-compare", cmd_archipelago_compare, "left", "right")
+    add("ball-audit", cmd_ball_audit, "space").add_argument(
+        "--sample", action="append", required=True, help="CENTER:RADIUS, repeatable")
     return parser
 
 

@@ -382,11 +382,14 @@ def archipelago_from_json(doc: Any) -> Archipelago:
         members = tuple(space.index(lab) for lab in points)
         if len(members) != size:
             raise fail("MalformedInput", f"island lists {len(members)} points, size says {size}")
-        if pointed.base in members:
+        island = set(members)
+        if len(island) != size:
+            raise fail("MalformedInput", "an island lists a point twice")
+        if pointed.base in island:
             raise fail("MalformedInput", "the hub cannot belong to an island")
-        if covered & set(members):
+        if covered & island:
             raise fail("MalformedInput", "islands overlap")
-        covered |= set(members)
+        covered |= island
         islands.append((IslandSpec(size, diameter, separation), members))
     if covered | {pointed.base} != set(range(space.n)):
         raise fail("MalformedInput", "islands plus hub must cover the space")

@@ -101,6 +101,9 @@ def audit_lipschitz(space: FiniteMetricSpace, assignment: Sequence[int]) -> Frac
     """Largest ratio d(f(x), f(y)) / d(x, y) over all pairs, exactly."""
     if len(assignment) != space.n:
         raise fail("InputMismatch", f"assignment covers {len(assignment)} of {space.n} points")
+    for target in assignment:
+        if type(target) is not int or not 0 <= target < space.n:
+            raise fail("InputMismatch", f"assignment entry {target!r} is not a point index")
     best = Fraction(0)
     for i, j in space.pairs():
         top = space.dist[assignment[i]][assignment[j]]

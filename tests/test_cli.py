@@ -1,11 +1,12 @@
 """End to end command line checks, driven in process through run()."""
 
+import argparse
 import json
 import sys
 
 import pytest
 
-from ultrazero.cli import run
+from ultrazero.cli import _PROPERTY_CODES_BY_COMMAND, build_parser, run
 
 ULTRA3 = {"labels": ["a", "b", "c"], "dist": [[0, 1, 3], [1, 0, 3], [3, 3, 0]]}
 LINE3 = {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
@@ -68,6 +69,11 @@ class TestValidate:
         assert report["error"] == "TriangleViolation"
         assert report["witness"]
 
+    def test_axiom_failure_is_malformed_input_to_other_commands(self, doc, capsys):
+        code, report = run_json(capsys, ["ultra-check", doc(BROKEN3)])
+        assert code == 2
+        assert report["error"] == "TriangleViolation"
+
     def test_missing_matrix_exits_2(self, doc, capsys):
         code, out = run_human(capsys, ["validate", doc({"labels": ["a"]})])
         assert code == 2
@@ -120,6 +126,12 @@ class TestUsage:
     def test_missing_required_option(self, doc, capsys):
         assert run(["retract", doc(TRIPOD)]) == 2
         capsys.readouterr()
+
+    def test_exit_code_table_names_only_subcommands(self):
+        # a misspelt key would silently turn the command's exit 1 into exit 2
+        actions = build_parser()._actions
+        subparsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        assert set(_PROPERTY_CODES_BY_COMMAND) <= set(subparsers.choices)
 
 
 class TestUltraCheck:
@@ -448,6 +460,11 @@ class TestArchipelagoCommands:
         code, out = run_human(capsys, ["archipelago-profile", doc(LINE3)])
         assert code == 1
         assert out.startswith("NotArchipelagoShaped:")
+
+    def test_compare_rejects_a_line(self, doc, capsys):
+        code, report = run_json(capsys, ["archipelago-compare", doc(LINE3), doc(LINE3)])
+        assert code == 1
+        assert report["error"] == "NotArchipelagoShaped"
 
     def test_compare_same_plan(self, doc, capsys, tmp_path):
         built = tmp_path / "arch.json"

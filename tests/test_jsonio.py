@@ -281,6 +281,17 @@ class TestArchipelagoDocs:
         short["islands"] = short["islands"][:1]
         with err("MalformedInput"):
             archipelago_from_json(short)
+        # sizes and coverage add up, but one island names its point twice
+        repeated = {
+            "labels": ["o", "a", "b"], "base": "o",
+            "dist": [[0, 3, 5], [3, 0, 5], [5, 5, 0]],
+            "islands": [
+                {"size": 2, "diameter": 1, "separation": 3, "points": ["a", "a"]},
+                {"size": 1, "diameter": 0, "separation": 5, "points": ["b"]},
+            ],
+        }
+        with err("MalformedInput"):
+            archipelago_from_json(repeated)
 
     def test_rejects_size_mismatch(self):
         arch = build_archipelago([2], [(2, 2)])

@@ -164,6 +164,16 @@ class TestAuditLipschitz:
         with err("InputMismatch"):
             audit_lipschitz(TRIPOD.space, (0, 1))
 
+    @pytest.mark.parametrize("assignment", [
+        (-1, 0, 1),  # would wrap to the last point
+        (True, 0, 1),  # would be read as 1
+        (0, 1, 3),
+        (0.0, 1, 2),
+    ])
+    def test_rejects_entries_that_are_not_point_indices(self, assignment):
+        with err("InputMismatch"):
+            audit_lipschitz(TRIPOD.space, assignment)
+
 
 class TestBruteForce:
     def test_finds_module_optimum_on_tripod(self):
