@@ -298,8 +298,8 @@ def ball_audit(
     capacity: dict[Fraction, int] = {}
     for raw_center, raw_radius in samples:
         center = space.index(raw_center) if isinstance(raw_center, str) else raw_center
-        if not 0 <= center < space.n:
-            raise fail("MalformedInput", f"center index {center} out of range")
+        if type(center) is not int or not 0 <= center < space.n:
+            raise fail("MalformedInput", f"center {center!r} is not a point index")
         radius = as_fraction(raw_radius)
         if radius < 0:
             raise fail("BadParameters", f"radius must be nonnegative, got {radius}")

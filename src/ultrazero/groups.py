@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .errors import fail
 from .metric_core import FiniteMetricSpace
+from .rational import ratio_window
 
 
 @dataclass(frozen=True)
@@ -391,17 +392,12 @@ class M0Report:
     window_witness: tuple[tuple[int, ...], tuple[int, ...], int, int] | None
 
 
-def _binary_element(code: int) -> GroupElement:
-    """The element whose digits are the binary digits of code, lowest first."""
-    return GroupElement.of([(code >> k) & 1 for k in range(code.bit_length())])
-
-
 def m0_distortion_check(max_len: int) -> M0Report:
     """Audit the doubling map over all binary strings up to max_len digits.
 
-    Element i is the string of binary digits of i, lowest first, so the
-    elements are the identity and then each length in counter order, and
-    index i *is* the code of its digits. Two codes i < j first share a block
+    The elements are the binary ball in counter order (see ball_elements):
+    element i is the string of binary digits of i, lowest first, so index
+    i *is* the code of its digits. Two codes i < j first share a block
     of 2**n codes at n = (i ^ j).bit_length(), the position of their most
     significant differing digit, which is d_filtration (see _ball). For a
     fixed i, the j > i at distance n are the upper half of the block of 2**n
@@ -410,14 +406,14 @@ def m0_distortion_check(max_len: int) -> M0Report:
     checked with C-level passes, and walked only on its first failure, so
     the witnesses are the first failing pairs in combinations order. The
     ratio |difference| / 3**n is smallest and largest at the extreme
-    differences of some stage, so only those become Fractions.
+    differences of some stage, so only those reach ratio_window.
     """
     if not isinstance(max_len, int) or isinstance(max_len, bool) or max_len < 1:
         raise fail("BadParameters", f"max_len must be a positive integer, got {max_len!r}")
     if max_len > 20:
         raise fail("BadParameters", f"max_len {max_len} is past the exhaustive range (20)")
     spec = CyclicSumSpec.of([(2, None)])
-    elements = [_binary_element(code) for code in range(2**max_len)]
+    elements = ball_elements(spec, max_len)
     values = [m0_encode(spec, g) for g in elements]
     powers = [3**k for k in range(max_len + 2)]
     stages = range(1, max_len + 1)
@@ -446,14 +442,14 @@ def m0_distortion_check(max_len: int) -> M0Report:
                 sharp_witness = witness(i, start, deltas, n, powers[n - 1] + 1, powers[n] - 1)
             if window_witness is None and not powers[n] <= small <= big <= powers[n + 1]:
                 window_witness = witness(i, start, deltas, n, powers[n], powers[n + 1])
+    extremes = ((d, powers[n]) for n in stages for d in (min(smalls[n]), max(bigs[n])))
     return M0Report(
         max_len,
         len(elements),
         pair_count,
         sharp_witness is None,
         sharp_witness,
-        min(Fraction(min(smalls[n]), powers[n]) for n in stages),
-        max(Fraction(max(bigs[n]), powers[n]) for n in stages),
+        *ratio_window(extremes),
         window_witness is None,
         window_witness,
     )

@@ -12,13 +12,14 @@ up to powers of three.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
 
 from .errors import fail
 from .metric_core import FiniteMetricSpace, _map_pairs, _quantize, require_ultrametric
-from .rational import as_fraction, exact_power_of_three, rational_str
+from .rational import as_fraction, exact_power_of_three, ratio_window, rational_str
 from .scale_analysis import certify
 
 
@@ -65,7 +66,11 @@ class LOmegaPoint:
 
     @classmethod
     def from_support(cls, support: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LOmegaPoint":
-        items = dict(support)
+        items: dict = {}
+        for idx, sym in support.items() if isinstance(support, Mapping) else support:
+            if idx in items:
+                raise fail("MalformedInput", f"index {idx!r} is given twice")
+            items[idx] = sym
         cleaned = []
         for idx, sym in sorted(items.items()):
             if not isinstance(idx, int) or isinstance(idx, bool):
@@ -205,14 +210,8 @@ def _ratio_window(space: FiniteMetricSpace, target: FiniteMetricSpace):
     space that _embed_isometric has just audited: each image distance mu
     matched its distance, pair by pair, and that audit is what makes these
     quotients equal to image distance over space distance."""
-    ratios = (target.dist[i][j] / space.dist[i][j] for i, j in space.pairs())
-    lo = hi = next(ratios, Fraction(1))
-    for ratio in ratios:
-        if ratio < lo:
-            lo = ratio
-        elif ratio > hi:
-            hi = ratio
-    return lo, hi
+    tails = (zip(t[i + 1:], s[i + 1:]) for i, (t, s) in enumerate(zip(target.dist, space.dist)))
+    return ratio_window(chain.from_iterable(tails)) or (Fraction(1),) * 2
 
 
 def embed_3n_valued(space: FiniteMetricSpace) -> LOmegaEmbedding:

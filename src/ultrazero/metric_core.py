@@ -70,8 +70,8 @@ class PointedSpace:
     base: int
 
     def __post_init__(self):
-        if not 0 <= self.base < self.space.n:
-            raise fail("MalformedInput", f"base index {self.base} out of range")
+        if type(self.base) is not int or not 0 <= self.base < self.space.n:
+            raise fail("MalformedInput", f"base {self.base!r} is not a point index")
 
     @property
     def base_label(self) -> str:

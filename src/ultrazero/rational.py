@@ -1,8 +1,8 @@
 """Exact rational plumbing.
 
 Distances are `fractions.Fraction` everywhere. This module only adds the
-interchange conventions: "p/q" strings, and base-3 exponent search used by
-the power-of-three rounding and the symbol-sequence metric.
+interchange conventions: "p/q" strings, base-3 exponent search used by
+the power-of-three rounding and the symbol-sequence metric, and ratio_window.
 """
 
 from __future__ import annotations
@@ -78,3 +78,19 @@ def exact_power_of_three(q: Fraction) -> int | None:
     if e >= 0:
         return e if q == 3**e else None
     return e if q * 3 ** (-e) == 1 else None
+
+
+def ratio_window(pairs) -> tuple[Fraction, Fraction] | None:
+    """Smallest and largest a/b over pairs (a, b) of ints or Fractions with
+    b > 0, as (lo, hi); None when there are no pairs. Each ratio stays the
+    ints a.numerator * b.denominator over a.denominator * b.numerator, and
+    ratios are compared by cross-multiplying, so only the two extremes
+    become Fractions and lattice ints need no conversion."""
+    lo = hi = None
+    for a, b in pairs:
+        p, q = a.numerator * b.denominator, a.denominator * b.numerator
+        if lo is None or p * lo[1] < lo[0] * q:
+            lo = p, q
+        if hi is None or p * hi[1] > hi[0] * q:
+            hi = p, q
+    return None if lo is None else (Fraction(*lo), Fraction(*hi))

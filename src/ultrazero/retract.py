@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import fail
 from .metric_core import FiniteMetricSpace, PointedSpace, require_ultrametric
-from .rational import as_fraction, rational_str
+from .rational import as_fraction, ratio_window, rational_str
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,11 @@ def audit_lipschitz(space: FiniteMetricSpace, assignment: Sequence[int]) -> Frac
     for target in assignment:
         if type(target) is not int or not 0 <= target < space.n:
             raise fail("InputMismatch", f"assignment entry {target!r} is not a point index")
-    best = Fraction(0)
-    for i, j in space.pairs():
-        top = space.dist[assignment[i]][assignment[j]]
-        if top == 0:
-            continue
-        ratio = top / space.dist[i][j]
-        if ratio > best:
-            best = ratio
-    return best
+    rows = space.dist  # a collapsed pair counts, with the ratio 0
+    tails = (zip(map(rows[assignment[i]].__getitem__, assignment[i + 1:]), row[i + 1:])
+             for i, row in enumerate(rows))
+    window = ratio_window(itertools.chain.from_iterable(tails))
+    return window[1] if window else Fraction(0)
 
 
 def lipschitz_retraction(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import _linkage
 from .errors import fail
 from .metric_core import FiniteMetricSpace
-from .rational import as_fraction
+from .rational import as_fraction, ratio_window
 
 _ORACLE_ENV = "ULTRAZERO_ORACLE_LIMIT"
 _ORACLE_DEFAULT = 8
@@ -55,6 +55,18 @@ class Dim0Certificate:
     increase and D is nondecreasing. ``m`` is the maximum of D(S)/S and
     equals 1 exactly on ultrametric inputs (and on spaces with < 2 points,
     where the table is empty).
+
+    On two or more points m is also C, the largest d(x, y)/rho(x, y) over
+    pairs x != y, with rho the chain-infimum ultrametric. m <= C: every
+    pair in an S-component has rho <= S, so d <= C rho <= C S and
+    D(S) <= C S. m >= C: let (x, y) have the largest ratio and
+    S = rho(x, y); S is a spanning-tree weight, so a tabulated scale, and x
+    and y share an S-component, so D(S) >= d(x, y) = C S. So m is the best
+    constant for extending maps into {-1, 1}: given such a map on a subset
+    A with both signs, the best extension keeps opposite signs exactly
+    delta = min rho apart over A's opposite-sign pairs, and the ratio of
+    its Lipschitz constant to the given one, min d / delta over those
+    pairs, is at most C, with equality when A is a largest-ratio pair.
     """
 
     m: Fraction
@@ -213,14 +225,10 @@ def _certificate(space: FiniteMetricSpace, scale, edges, heights) -> Dim0Certifi
             top = max(top, *ints)
         tops.append(top)
     reach = list(itertools.accumulate(tops, max))  # D at each merge height
-    table, best = [], (0, 1)  # best: the largest D/S so far, as (D, S)
-    for s in sorted(entry):
-        d = reach[bisect_right(heights, s) - 1]
-        if d * best[1] > best[0] * s:
-            best = (d, s)
-        table.append((entry[s], entry[d]))
-    d, s = best
-    return Dim0Certificate(entry[d] / entry[s], tuple(table))
+    scales = sorted(entry)
+    ds = [reach[bisect_right(heights, s) - 1] for s in scales]
+    table = tuple((entry[s], entry[d]) for s, d in zip(scales, ds))
+    return Dim0Certificate(ratio_window(zip(ds, scales))[1], table)
 
 
 def certify(space: FiniteMetricSpace) -> tuple[SubdominantResult, Dim0Certificate]:

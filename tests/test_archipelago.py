@@ -265,8 +265,9 @@ class TestBallAudit:
         assert report.samples[0].cardinality == arch.space.n
 
     def test_rejects_unknown_center(self):
-        with err("MalformedInput"):
-            ball_audit(self.audit_fixture(), [("nope", 1)])
+        for center in ("nope", True):
+            with err("MalformedInput"):
+                ball_audit(self.audit_fixture(), [(center, 1)])
 
     def test_rejects_negative_radius(self):
         with err("BadParameters"):

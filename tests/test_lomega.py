@@ -63,6 +63,9 @@ class TestPoints:
             LOmegaPoint.from_support({F(1, 2): 1})
         with err("MalformedInput"):
             LOmegaPoint.from_support({0: True})
+        for repeated in ([(1, 2), (1, 0)], [(1, 2), (1, 3)]):  # an index given twice
+            with err("MalformedInput"):
+                LOmegaPoint.from_support(repeated)
 
     def test_symbol_at(self):
         p = pt((-1, 2), (4, 7))

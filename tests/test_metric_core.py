@@ -330,6 +330,15 @@ class TestScaleTruncate:
             assert validate_metric(large.labels, large.dist) == large
 
 
+class TestPointed:
+    def test_base_must_be_a_point_index(self):
+        s = space("ab", [[0, 2], [2, 0]])
+        assert PointedSpace(s, 1).base_label == "b"
+        for base in (2, -1, True, 1.0):
+            with err("MalformedInput"):
+                PointedSpace(s, base)
+
+
 class TestWedge:
     def test_bases_identified(self):
         a = PointedSpace(space("ab", [[0, 2], [2, 0]]), 0)

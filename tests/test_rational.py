@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ultrazero import (
     UltrazeroError,
@@ -13,6 +15,7 @@ from ultrazero import (
     parse_rational,
     rational_str,
 )
+from ultrazero.rational import ratio_window
 
 F = Fraction
 
@@ -103,3 +106,34 @@ def test_exact_power_of_three():
     assert exact_power_of_three(F(6)) is None
     assert exact_power_of_three(F(0)) is None
     assert exact_power_of_three(F(3, 2)) is None
+
+
+_HUGE = 2**1200  # lattice-sized ints and Fractions, past 1,100 bits
+
+
+def _rationals(lo):
+    """Small ints (for ties, and 0 when lo <= 0), huge ints and Fractions, all >= lo."""
+    return st.one_of(
+        st.integers(lo, 4),
+        st.integers(lo, _HUGE),
+        st.builds(F, st.integers(lo, 4), st.integers(1, 4)),
+        st.builds(F, st.integers(lo, _HUGE), st.integers(1, _HUGE)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_rationals(-4), _rationals(1)), max_size=6))
+@example([(1, 2), (3, 1)])  # the largest ratio comes last
+@example([(1, 1), (2**1100 + 1, 3), (F(1, 2**1100 + 1), 1)])  # so does the smallest
+def test_ratio_window_matches_fraction_min_max(pairs):
+    ratios = [F(a) / b for a, b in pairs]
+    got = ratio_window(iter(pairs))
+    assert got == ((min(ratios), max(ratios)) if ratios else None)
+    assert got is None or all(type(r) is F for r in got)
+
+
+def test_ratio_window_edge_cases():
+    assert ratio_window([]) is None
+    assert ratio_window([(3, 6)]) == (F(1, 2), F(1, 2))
+    assert ratio_window([(0, 5), (0, F(1, 3))]) == (0, 0)
+    assert ratio_window([(2, 4), (F(1, 2), 1), (1, 2)]) == (F(1, 2), F(1, 2))

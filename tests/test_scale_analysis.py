@@ -1,5 +1,6 @@
 """Scale components, the chain-infimum ultrametric and its certificates."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -222,6 +223,46 @@ class TestCertificate:
                     default=F(0),
                 )
                 assert got == diam
+
+
+def _max_d_over_rho(space):
+    """The largest d/rho over pairs, by plain Fraction division."""
+    rho = subdominant_ultrametric(space).rho
+    return max(space.d(i, j) / rho.d(i, j) for i, j in space.pairs())
+
+
+class TestSphereExtension:
+    """m is the best constant for extending maps into S^0 = {-1, 1}; see
+    Dim0Certificate for the proofs."""
+
+    def test_m_is_max_d_over_rho(self, make_rng):
+        rng = make_rng(230)
+        spaces = [family(rng, n) for n in (2, 3, 5, 9, 17, 40)
+                  for family in (gen.random_metric, gen.all_distinct_metric,
+                                 gen.random_ultrametric, gen.random_3power_ultrametric)]
+        spaces += [gen.coprime_metric(12), gen.coprime_metric(40)]  # lattice, Fraction fallback
+        spaces += [gen.example_truncation(n) for n in range(2, 9)]
+        for space in spaces:
+            assert dim0_certificate(space).m == _max_d_over_rho(space)
+
+    def test_best_sign_extension_keeps_min_rho(self, make_rng):
+        # brute force over every extension g of f: A -> {-1, 1}; the best
+        # separation of opposite signs reads only d, so this checks rho
+        rng = make_rng(231)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            space = rng.choice((gen.random_metric, gen.all_distinct_metric))(rng, n)
+            rho = subdominant_ultrametric(space).rho
+            subset = rng.sample(range(n), rng.randint(2, n))
+            f = dict(zip(subset, [1, -1] + [rng.choice((1, -1)) for _ in subset[2:]]))
+            free = [x for x in range(n) if x not in f]
+            best = max(
+                min(space.d(x, y) for x, y in space.pairs() if g[x] != g[y])
+                for signs in itertools.product((1, -1), repeat=len(free))
+                for g in [{**f, **dict(zip(free, signs))}]
+            )
+            opposite = [(a, b) for a, b in itertools.combinations(subset, 2) if f[a] != f[b]]
+            assert best == min(rho.d(a, b) for a, b in opposite)
 
 
 class TestVerifyBounds:
