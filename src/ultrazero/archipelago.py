@@ -17,10 +17,12 @@ the three possible shapes of a closed ball.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import _linkage
 from .errors import fail
 from .metric_core import FiniteMetricSpace, PointedSpace, cone, metric_wedge
 from .rational import as_fraction, rational_str
@@ -160,46 +162,31 @@ def island_profile(source: PointedSpace | Archipelago) -> ProfileResult:
     if not others:
         raise fail("NotArchipelagoShaped", "no points besides the hub")
     dist = space.dist
-    near: dict[int, set[int]] = {i: set() for i in others}
-    for a in range(len(others)):
-        x = others[a]
-        for b in range(a + 1, len(others)):
-            y = others[b]
+    ds = _linkage.DisjointSet(space.n)
+    for a, x in enumerate(others):
+        for y in others[a + 1:]:
             left = dist[x][y] < dist[x][hub]
-            right = dist[x][y] < dist[y][hub]
-            if left != right:
+            if left != (dist[x][y] < dist[y][hub]):
                 raise fail(
                     "NotArchipelagoShaped",
                     f"clustering is one-sided on ({space.labels[x]},{space.labels[y]})",
                     x, y,
                 )
             if left:
-                near[x].add(y)
-                near[y].add(x)
-    clusters: list[list[int]] = []
-    seen: set[int] = set()
+                ds.union(x, y)
+    # filled in index order: clusters come sorted, and in order of their first point
+    members: dict[int, list[int]] = {}
     for x in others:
-        if x in seen:
-            continue
-        stack = [x]
-        group = []
-        seen.add(x)
-        while stack:
-            u = stack.pop()
-            group.append(u)
-            for v in near[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        clusters.append(sorted(group))
+        members.setdefault(ds.find(x), []).append(x)
+    clusters = list(members.values())
     for group in clusters:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                if group[b] not in near[group[a]]:
+        for a, x in enumerate(group):
+            for y in group[a + 1:]:
+                if not dist[x][y] < dist[x][hub]:
                     raise fail(
                         "NotArchipelagoShaped",
                         f"cluster through {space.labels[group[0]]} is not mutually close",
-                        group[a], group[b],
+                        x, y,
                     )
     triples: list[tuple[int, Fraction, Fraction]] = []
     separations: list[Fraction] = []
@@ -259,10 +246,7 @@ def fingerprint_compare(
     rs = tuple(sorted({n for n, _, _ in rt}))
 
     def counts(ts):
-        bag: dict[int, int] = {}
-        for n, _, _ in ts:
-            bag[n] = bag.get(n, 0) + 1
-        return tuple(sorted(bag.items()))
+        return tuple(sorted(Counter(n for n, _, _ in ts).items()))
 
     verdict = "distinct" if ls != rs else "indistinguishable"
     return FingerprintReport(
@@ -297,9 +281,7 @@ def ball_audit(
     entries: list[BallSample] = []
     capacity: dict[Fraction, int] = {}
     for raw_center, raw_radius in samples:
-        center = space.index(raw_center) if isinstance(raw_center, str) else raw_center
-        if type(center) is not int or not 0 <= center < space.n:
-            raise fail("MalformedInput", f"center {center!r} is not a point index")
+        center = space.index(raw_center) if isinstance(raw_center, str) else space.point(raw_center)
         radius = as_fraction(raw_radius)
         if radius < 0:
             raise fail("BadParameters", f"radius must be nonnegative, got {radius}")

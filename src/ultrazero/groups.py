@@ -65,6 +65,8 @@ class CyclicSumSpec:
 
     def orders(self, depth: int) -> tuple[int, ...]:
         """The first ``depth`` summand orders, expanded by multiplicity."""
+        if type(depth) is not int:
+            raise fail("BadParameters", f"depth must be an integer, got {depth!r}")
         if depth < 0:
             raise fail("BadParameters", f"depth must be nonnegative, got {depth}")
         if depth == 0:
@@ -273,7 +275,7 @@ def _smallest_factor(n: int, start: int = 2) -> int:
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and _smallest_factor(p) == p
+    return type(p) is int and p >= 2 and _smallest_factor(p) == p
 
 
 def _valuation(n: int, p: int) -> int:

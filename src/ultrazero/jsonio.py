@@ -3,9 +3,10 @@
 Two conventions, both exact: matrix files carry distances as ints or
 "p/q" strings (whichever is shorter to write), while report documents
 carry every rational as a string so consumers never face mixed types.
-Formats the toolkit itself re-reads (spaces, pointed spaces, archipelago
-files, group specs, plans, elements, certificates, profiles) have paired
-parsers; parse(emit(x)) reproduces x bit for bit.
+Spaces, pointed spaces and archipelago files are both written and read,
+and parse(emit(x)) reproduces x bit for bit. Group specs, island plans
+and elements are only read, as command inputs; certificates, profiles and
+the other reports are only written.
 """
 
 from __future__ import annotations
@@ -175,8 +176,7 @@ def partition_to_json(space: FiniteMetricSpace, part: Partition) -> dict:
 def subdominant_to_json(result: SubdominantResult) -> dict:
     labels = result.rho.labels
     return {
-        "labels": list(labels),
-        "dist": _matrix_rows(result.rho.dist),
+        **space_to_json(result.rho),
         "spanning_edges": [
             [labels[i], labels[j], rational_str(w)] for w, i, j in result.spanning_edges
         ],
@@ -188,17 +188,6 @@ def certificate_to_json(cert: Dim0Certificate) -> dict:
         "m": rational_str(cert.m),
         "table": [[rational_str(s), rational_str(d)] for s, d in cert.table],
     }
-
-
-def certificate_from_json(doc: Any) -> Dim0Certificate:
-    m = as_fraction(_need(doc, "m", str, "certificate"))
-    rows = _need(doc, "table", list, "certificate")
-    table = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 2:
-            raise fail("MalformedInput", "certificate: table rows are [S, D] pairs")
-        table.append((as_fraction(row[0]), as_fraction(row[1])))
-    return Dim0Certificate(m, tuple(table))
 
 
 def bounds_to_json(report: BoundsReport) -> dict:
@@ -262,14 +251,6 @@ def retraction_to_json(rm: RetractionMap) -> dict:
 
 
 # ---------------------------------------------------------------- groups
-
-def spec_to_json(spec: CyclicSumSpec) -> dict:
-    return {
-        "summands": [
-            [order, "inf" if mult is None else mult] for order, mult in spec.summands
-        ]
-    }
-
 
 def spec_from_json(doc: Any) -> CyclicSumSpec:
     rows = _need(doc, "summands", list, "group spec")
@@ -410,14 +391,6 @@ def plan_from_json(doc: Any) -> tuple[list[int], list[tuple[int, int]], bool]:
     return list(allowed), plan, strict
 
 
-def plan_to_json(allowed, plan, strict: bool) -> dict:
-    return {
-        "lambda": list(allowed),
-        "plan": [[n, m] for n, m in plan],
-        "strict": strict,
-    }
-
-
 def profile_to_json(result: ProfileResult) -> dict:
     return {
         "islands": [
@@ -425,17 +398,6 @@ def profile_to_json(result: ProfileResult) -> dict:
         ],
         "warnings": list(result.warnings),
     }
-
-
-def profile_from_json(doc: Any) -> ProfileResult:
-    rows = _need(doc, "islands", list, "profile")
-    triples = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise fail("MalformedInput", "profile rows are [size, diameter, separation]")
-        triples.append((row[0], as_fraction(row[1]), as_fraction(row[2])))
-    warnings = doc.get("warnings", []) if isinstance(doc, dict) else []
-    return ProfileResult(tuple(triples), tuple(warnings))
 
 
 def compare_to_json(report: FingerprintReport) -> dict:

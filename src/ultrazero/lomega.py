@@ -67,19 +67,18 @@ class LOmegaPoint:
     @classmethod
     def from_support(cls, support: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LOmegaPoint":
         items: dict = {}
-        for idx, sym in support.items() if isinstance(support, Mapping) else support:
+        for item in support.items() if isinstance(support, Mapping) else support:
+            if not isinstance(item, (tuple, list)) or len(item) != 2:
+                raise fail("MalformedInput", f"support item {item!r} is not a pair")
+            idx, sym = item
+            if type(idx) is not int:
+                raise fail("MalformedInput", f"index {idx!r} is not an integer")
+            if type(sym) is not int or sym < 0:
+                raise fail("MalformedInput", f"symbol {sym!r} at index {idx} is not allowed")
             if idx in items:
                 raise fail("MalformedInput", f"index {idx!r} is given twice")
             items[idx] = sym
-        cleaned = []
-        for idx, sym in sorted(items.items()):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise fail("MalformedInput", f"index {idx!r} is not an integer")
-            if not isinstance(sym, int) or isinstance(sym, bool) or sym < 0:
-                raise fail("MalformedInput", f"symbol {sym!r} at index {idx} is not allowed")
-            if sym > 0:
-                cleaned.append((idx, sym))
-        return cls(tuple(cleaned))
+        return cls(tuple(sorted((idx, sym) for idx, sym in items.items() if sym > 0)))
 
     def symbol_at(self, index: int) -> int:
         for idx, sym in self.entries:

@@ -12,11 +12,12 @@ triples. All checks here are exact, no floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, ne, sub
+from operator import add, itemgetter, ne, sub
 
 from . import _linkage
 from .errors import fail
@@ -47,6 +48,12 @@ class FiniteMetricSpace:
         except ValueError:
             raise fail("MalformedInput", f"no point labeled {label!r}") from None
 
+    def point(self, i) -> int:
+        """i if it is a point index, an int (not a bool) in range(n)."""
+        if type(i) is not int or not 0 <= i < self.n:
+            raise fail("MalformedInput", f"{i!r} is not a point index")
+        return i
+
     def diameter(self) -> Fraction:
         return max(map(max, self.dist))  # each row holds its 0 on the diagonal
 
@@ -70,8 +77,7 @@ class PointedSpace:
     base: int
 
     def __post_init__(self):
-        if type(self.base) is not int or not 0 <= self.base < self.space.n:
-            raise fail("MalformedInput", f"base {self.base!r} is not a point index")
+        self.space.point(self.base)
 
     @property
     def base_label(self) -> str:
@@ -353,17 +359,9 @@ class Gauge:
         if t < 0:
             raise fail("BadParameters", "gauges are defined for t >= 0")
         knots = self.breakpoints
-        if t >= knots[-1][0]:
-            (t0, v0), (t1, v1) = knots[-2], knots[-1]
-            return v1 + (t - t1) * (v1 - v0) / (t1 - t0)
-        lo, hi = 0, len(knots) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if knots[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        (t0, v0), (t1, v1) = knots[lo], knots[hi]
+        # the segment whose right knot is the first above t, or the last one
+        k = min(bisect_right(knots, t, key=itemgetter(0)), len(knots) - 1)
+        (t0, v0), (t1, v1) = knots[k - 1], knots[k]
         return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
 
 

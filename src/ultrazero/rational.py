@@ -75,9 +75,7 @@ def exact_power_of_three(q: Fraction) -> int | None:
     if q <= 0:
         return None
     e = ceil_exponent_base3(q)
-    if e >= 0:
-        return e if q == 3**e else None
-    return e if q * 3 ** (-e) == 1 else None
+    return e if q == Fraction(3) ** e else None
 
 
 def ratio_window(pairs) -> tuple[Fraction, Fraction] | None:

@@ -84,14 +84,7 @@ def default_delta(lam) -> Fraction:
 def _resolve_subset(space: FiniteMetricSpace, subset: Iterable) -> frozenset[int]:
     indices: set[int] = set()
     for item in subset:
-        if isinstance(item, str):
-            indices.add(space.index(item))
-        elif isinstance(item, int) and not isinstance(item, bool):
-            if not 0 <= item < space.n:
-                raise fail("MalformedInput", f"subset index {item} out of range")
-            indices.add(item)
-        else:
-            raise fail("MalformedInput", f"cannot read subset member {item!r}")
+        indices.add(space.index(item) if isinstance(item, str) else space.point(item))
     if not indices:
         raise fail("EmptySubset", "the subset to retract onto is empty")
     return frozenset(indices)

@@ -32,9 +32,10 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def block_of(self, i: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if i in block:
-                return block
+        if type(i) is int:  # a partition holds no space, so only the type is checked
+            for block in self.blocks:
+                if i in block:
+                    return block
         raise fail("MalformedInput", f"index {i} not covered by the partition")
 
 
@@ -155,9 +156,13 @@ def _oracle_limit() -> int:
 def chain_minimax_oracle(space: FiniteMetricSpace, x: int, z: int) -> Fraction:
     """Exact minimum over all simple chains of the largest link, by brute force.
 
-    Exists to cross-check subdominant_ultrametric, so it enumerates every
-    permutation of intermediate points instead of being clever. Spaces
-    larger than ULTRAZERO_ORACLE_LIMIT points (default 8) are refused.
+    Exists to cross-check subdominant_ultrametric, so it walks every simple
+    chain from x depth first instead of being clever: each chain is closed
+    to z, and extended by every point it has not visited. A prefix is
+    walked once for all the chains that share it, and dropped once its
+    largest link reaches the best chain so far, which no extension can
+    then beat. Spaces larger than ULTRAZERO_ORACLE_LIMIT points (default 8)
+    are refused.
     """
     limit = _oracle_limit()
     if space.n > limit:
@@ -166,32 +171,22 @@ def chain_minimax_oracle(space: FiniteMetricSpace, x: int, z: int) -> Fraction:
             f"{space.n} points exceeds the oracle limit {limit}",
             space.n, limit,
         )
-    if not (0 <= x < space.n and 0 <= z < space.n):
-        raise fail("MalformedInput", f"indices ({x}, {z}) out of range")
+    space.point(x)
+    space.point(z)
     if x == z:
         return Fraction(0)
     dist = space.dist
     best = dist[x][z]
-    others = [i for i in range(space.n) if i != x and i != z]
-    for k in range(1, len(others) + 1):
-        for mid in itertools.permutations(others, k):
-            prev = x
-            top = Fraction(0)
-            dead = False
-            for p in mid:
-                w = dist[prev][p]
-                if w >= best:
-                    dead = True
-                    break
-                if w > top:
-                    top = w
-                prev = p
-            if dead:
-                continue
-            w = dist[prev][z]
-            if w >= best:
-                continue
-            best = max(top, w)
+
+    def walk(u: int, top: Fraction, rest: frozenset[int]) -> None:
+        nonlocal best
+        best = min(best, max(top, dist[u][z]))
+        for p in rest:
+            link = max(top, dist[u][p])
+            if link < best:
+                walk(p, link, rest - {p})
+
+    walk(x, Fraction(0), frozenset(range(space.n)) - {x, z})
     return best
 
 

@@ -50,6 +50,15 @@ class TestSpec:
         assert Z2INF.orders(4) == (2, 2, 2, 2)
         assert MIXED.orders(0) == ()
 
+    def test_orders_reject_a_depth_that_is_not_an_int(self):
+        for depth in (True, 2.0):
+            with err("BadParameters"):
+                Z2INF.orders(depth)
+            with err("BadParameters"):
+                group_ball(Z2INF, depth)
+            with err("BadParameters"):
+                group_isometric_embedding(Z2INF, Z4INF, depth)
+
     def test_orders_overflow(self):
         with err("RadiusExceedsSpec"):
             MIXED.orders(4)
@@ -210,7 +219,7 @@ class TestSylow:
         assert sylow_number(Z2INF, 3).value() == 1
 
     def test_rejects_non_prime(self):
-        for p in (4, 1, 0, -3):
+        for p in (4, 1, 0, -3, 2.0, True):
             with err("NotPrime"):
                 sylow_number(MIXED, p)
 

@@ -24,7 +24,6 @@ from ultrazero.groups import CyclicSumSpec
 from ultrazero.jsonio import (
     archipelago_from_json,
     archipelago_to_json,
-    certificate_from_json,
     certificate_to_json,
     dump_text,
     element_from_text,
@@ -33,15 +32,12 @@ from ultrazero.jsonio import (
     m0_to_json,
     matrix_value,
     plan_from_json,
-    plan_to_json,
     pointed_from_json,
     pointed_to_json,
-    profile_from_json,
     profile_to_json,
     space_from_json,
     space_to_json,
     spec_from_json,
-    spec_to_json,
     subdominant_to_json,
     sylow_to_json,
     witness_to_json,
@@ -194,8 +190,7 @@ class TestReportDocs:
         cert = dim0_certificate(line3)
         doc = certificate_to_json(cert)
         assert doc == {"m": "2", "table": [["1", "2"], ["2", "2"]]}
-        back = certificate_from_json(doc)
-        assert back == cert
+        assert (F(doc["m"]), tuple((F(a), F(b)) for a, b in doc["table"])) == (cert.m, cert.table)
 
     def test_subdominant_doc_all_strings_or_ints(self, make_rng):
         rng = make_rng(703)
@@ -237,9 +232,8 @@ class TestReportDocs:
 class TestGroupDocs:
     def test_spec_round_trip(self):
         spec = CyclicSumSpec.of([(3, 2), (2, None)])
-        doc = spec_to_json(spec)
-        assert doc == {"summands": [[3, 2], [2, "inf"]]}
-        assert spec_from_json(doc) == spec
+        assert spec_from_json({"summands": [[3, 2], [2, "inf"]]}) == spec
+        assert spec_from_json({"summands": [[3, 2], [2, None]]}) == spec
 
     def test_spec_rejects_junk(self):
         with err("MalformedInput"):
@@ -301,7 +295,7 @@ class TestArchipelagoDocs:
             archipelago_from_json(doc)
 
     def test_plan_round_trip(self):
-        doc = plan_to_json([2, 3], [(2, 2), (3, 5)], True)
+        doc = {"lambda": [2, 3], "plan": [[2, 2], [3, 5]], "strict": True}
         allowed, plan, strict = plan_from_json(doc)
         assert allowed == [2, 3]
         assert plan == [(2, 2), (3, 5)]
@@ -318,8 +312,11 @@ class TestArchipelagoDocs:
     def test_profile_round_trip(self):
         arch = build_archipelago([2], [(2, 2), (2, 3)], strict=True)
         result = island_profile(arch)
-        doc = profile_to_json(result)
-        assert profile_from_json(doc) == result
+        assert result.profile == ((2, F(2), F(3)), (2, F(3), F(6)))
+        assert profile_to_json(result) == {
+            "islands": [[2, "2", "3"], [2, "3", "6"]],
+            "warnings": [],
+        }
 
 
 def test_error_doc_renders_fraction_witnesses():

@@ -66,6 +66,9 @@ class TestPoints:
         for repeated in ([(1, 2), (1, 0)], [(1, 2), (1, 3)]):  # an index given twice
             with err("MalformedInput"):
                 LOmegaPoint.from_support(repeated)
+        for junk in ([1, 2], [([1], 2)], [(1,)]):  # not pairs, or an unhashable index
+            with err("MalformedInput"):
+                LOmegaPoint.from_support(junk)
 
     def test_symbol_at(self):
         p = pt((-1, 2), (4, 7))

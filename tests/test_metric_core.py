@@ -100,6 +100,13 @@ class TestValidateMetric:
         with err("MalformedInput"):
             s.index("zz")
 
+    def test_point_index(self):
+        s = space("abc", LINE3)
+        assert [s.point(i) for i in range(3)] == [0, 1, 2]
+        for bad in (3, -1, True, False, 1.0, "a", None):
+            with err("MalformedInput"):
+                s.point(bad)
+
 
 class TestIsUltrametric:
     def test_line_is_not(self):
@@ -167,6 +174,22 @@ class TestGauge:
         assert g.evaluate(3) == 6
         # last slope (4) extends past the final knot
         assert g.evaluate(4) == 10
+
+    def test_evaluate_matches_a_scan_over_the_knots(self, make_rng):
+        """The segment is picked by a linear scan here, not by bisect: the
+        last knot at or below t, but never the last knot itself."""
+        rng = make_rng(161)
+        for _ in range(40):
+            ts = sorted(rng.sample(range(1, 30), rng.randint(1, 7)))
+            g = Gauge.from_points([(F(t, 2), rng.randint(-5, 20)) for t in ts])
+            knots = g.breakpoints
+            probes = [t for t, _ in knots] + [(a + b) / 2 for (a, _), (b, _) in
+                                              zip(knots, knots[1:])]
+            probes += [knots[-1][0] + F(1, 3), knots[-1][0] * 2 + 5]
+            for t in probes:
+                k = max(k for k in range(len(knots) - 1) if knots[k][0] <= t)
+                (t0, v0), (t1, v1) = knots[k], knots[k + 1]
+                assert g.evaluate(t) == v0 + (t - t0) * (v1 - v0) / (t1 - t0)
 
     def test_stretch_knots(self):
         g = Gauge.stretch(2, 3)

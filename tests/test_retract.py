@@ -117,6 +117,11 @@ class TestLipschitzRetraction:
         with err("BadParameters"):
             lipschitz_retraction(TRIPOD, ["q"], F(3, 2), delta=F(5, 4))
 
+    def test_rejects_subset_members_that_are_not_points(self):
+        for subset in ([True], [1.0], [3], [-1], ["zz"]):
+            with err("MalformedInput"):
+                lipschitz_retraction(TRIPOD, subset, 2)
+
     def test_rejects_empty_subset(self):
         with err("EmptySubset"):
             lipschitz_retraction(TRIPOD, [], 2)

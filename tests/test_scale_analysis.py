@@ -49,6 +49,9 @@ class TestComponents:
         part = s_components(ULTRA3, 1)
         assert part.block_of(1) == (0, 1)
         assert part.block_of(2) == (2,)
+        for i in (True, 1.0, 3, -1):
+            with err("MalformedInput"):
+                part.block_of(i)
 
     def test_blocks_partition_and_sort(self, make_rng):
         rng = make_rng(201)
@@ -137,6 +140,13 @@ class TestOracle:
     def test_two_points_direct(self):
         s = validate_metric("pq", [[0, 5], [5, 0]])
         assert chain_minimax_oracle(s, 0, 1) == 5
+
+    def test_rejects_what_is_not_a_point_index(self):
+        for bad in (True, 1.0, "a", -1, LINE3.n):
+            with err("MalformedInput"):
+                chain_minimax_oracle(LINE3, bad, 0)
+            with err("MalformedInput"):
+                chain_minimax_oracle(LINE3, 0, bad)
 
     def test_size_guard(self, make_rng):
         rng = make_rng(208)
